@@ -127,7 +127,10 @@ class ExperimentConfig:
                     assembly_every=self.assembly_every,
                     plateau_window=self.plateau_window)
         base.update(overrides)
-        return GmresConfig(**base)
+        try:
+            return GmresConfig(**base)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 _BOOL_FIELDS = {"precondition", "bounds"}

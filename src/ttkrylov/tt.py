@@ -77,7 +77,11 @@ def dense_budget() -> int:
     raw = os.environ.get(DENSE_BUDGET_ENV)
     if raw is None:
         return _DEFAULT_DENSE_BUDGET
-    return int(float(raw))
+    try:
+        return int(float(raw))
+    except (ValueError, OverflowError):
+        raise TTError(f"{DENSE_BUDGET_ENV}: expected a finite number of "
+                      f"entries, got {raw!r}") from None
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -207,17 +211,11 @@ def tt_rank_one(factors) -> TTVector:
 
 def _min_rank_for_tail(s: np.ndarray, tau: float) -> int:
     """Smallest kept rank whose discarded singular-value energy is <= tau."""
-    if s.size == 0:
-        return 1
-    tail = np.sqrt(np.maximum(np.cumsum(s[::-1] ** 2), 0.0))[::-1]
-    # tail[r] = sqrt(sum_{i >= r} s_i^2); keep the smallest r with tail[r] <= tau
-    keep = s.size
-    for r in range(s.size + 1):
-        t = tail[r] if r < s.size else 0.0
-        if t <= tau:
-            keep = r
-            break
-    return max(1, keep)
+    # tail[r] = sqrt(sum_{i >= r} s_i^2) is non-increasing and tail[size] = 0,
+    # so the smallest r with tail[r] <= tau is a search from the right.
+    tail = np.append(np.sqrt(np.cumsum(s[::-1] ** 2))[::-1], 0.0)
+    keep = tail.size - np.searchsorted(tail[::-1], tau, side="right")
+    return max(1, int(keep))
 
 
 def tt_from_dense(t: np.ndarray, delta: float) -> TTVector:
@@ -349,8 +347,7 @@ def _rewrap(template, cores):
 
 def tt_scale(x, c: float):
     """Scale by a real number; only the first core changes, ranks do not."""
-    cores = [np.array(x.cores[0]) * float(c)] + [np.array(k) for k in x.cores[1:]]
-    return _rewrap(x, cores)
+    return _rewrap(x, [x.cores[0] * float(c)] + list(x.cores[1:]))
 
 
 def tt_inner(x: TTVector, y: TTVector) -> float:
@@ -365,15 +362,24 @@ def tt_inner(x: TTVector, y: TTVector) -> float:
     return float(g[0, 0])
 
 
+def _carry_right(carry: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """``carry @ core`` over the left bond: (r, a) x (a, n, b) -> (r, n, b)."""
+    a, n, b = core.shape
+    return (carry @ core.reshape(a, n * b)).reshape(carry.shape[0], n, b)
+
+
 def _right_orthogonalize(cores: list[np.ndarray]) -> list[np.ndarray]:
-    """Make cores[1:] row-orthonormal in their (r_{k-1}, n_k r_k) unfolding."""
-    cores = [np.array(c) for c in cores]
+    """Make cores[1:] row-orthonormal in their (r_{k-1}, n_k r_k) unfolding.
+
+    Returns a new list; the input cores are only read.
+    """
+    cores = list(cores)
     for k in range(len(cores) - 1, 0, -1):
         a, n, b = cores[k].shape
         q, r = np.linalg.qr(cores[k].reshape(a, n * b).T)
-        rho = q.shape[1]
-        cores[k] = q.T.reshape(rho, n, b)
-        cores[k - 1] = np.tensordot(cores[k - 1], r.T, axes=([2], [0]))
+        cores[k] = q.T.reshape(q.shape[1], n, b)
+        p, m, _ = cores[k - 1].shape
+        cores[k - 1] = (cores[k - 1].reshape(p * m, a) @ r.T).reshape(p, m, -1)
     return cores
 
 
@@ -389,11 +395,30 @@ def tt_norm(x: TTVector) -> float:
     return float(np.linalg.norm(cores[0]))
 
 
+def _cap_left_bonds(cores: list[np.ndarray]) -> list[np.ndarray]:
+    """Cut leading bonds down to their natural cap r_{k-1} n_k, exactly.
+
+    While a core's left unfolding (r_{k-1} n_k, r_k) is wide, its QR factor R
+    is absorbed into the next core.  This is a change of basis, so the tensor
+    is unchanged up to round-off; the QR sweep that follows then works at the
+    capped bond instead of the inflated one.
+    """
+    cores = list(cores)
+    for k in range(len(cores) - 1):
+        a, n, b = cores[k].shape
+        if a * n >= b:
+            break
+        q, r = np.linalg.qr(cores[k].reshape(a * n, b))
+        cores[k] = q.reshape(a, n, a * n)
+        cores[k + 1] = _carry_right(r, cores[k + 1])
+    return cores
+
+
 def _round_cores(cores: list[np.ndarray], delta: float) -> list[np.ndarray]:
     d = len(cores)
     if d == 1:
-        return [np.array(cores[0])]
-    cores = _right_orthogonalize(cores)
+        return [cores[0]]
+    cores = _right_orthogonalize(_cap_left_bonds(cores))
     nrm = np.linalg.norm(cores[0])
     if nrm == 0.0:
         return [np.zeros((1, c.shape[1], 1)) for c in cores]
@@ -404,17 +429,18 @@ def _round_cores(cores: list[np.ndarray], delta: float) -> list[np.ndarray]:
                                  full_matrices=False)
         r = _min_rank_for_tail(s, tau)
         cores[k] = u[:, :r].reshape(a, n, r)
-        carry = s[:r, None] * vt[:r]
-        cores[k + 1] = np.tensordot(carry, cores[k + 1], axes=([1], [0]))
+        cores[k + 1] = _carry_right(s[:r, None] * vt[:r], cores[k + 1])
     return cores
 
 
 def tt_round(x, delta: float):
     """Recompress to relative accuracy delta.
 
-    Right-to-left QR orthogonalization followed by a left-to-right truncated
-    SVD sweep with per-core cutoff ``delta * |x| / sqrt(d - 1)``.  Ranks never
-    increase; ``|x - round(x)| <= delta * |x|``.
+    Leading bonds above their natural cap r_{k-1} n_k are first cut by an
+    exact left QR sweep; then right-to-left QR orthogonalization and a
+    left-to-right truncated SVD sweep with per-core cutoff
+    ``delta * |x| / sqrt(d - 1)``.  Ranks never increase;
+    ``|x - round(x)| <= delta * |x|``.
     """
     if delta < 0:
         raise TTError("delta must be >= 0")
@@ -429,6 +455,21 @@ def tt_round(x, delta: float):
     return make_tt_vector(_round_cores(list(x.cores), delta))
 
 
+def _core_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """One core of an operator product, as a single GEMM over the shared mode.
+
+    ``ca`` is an operator core (ra, n, m, rb) and ``cb`` a core (sa, m, j, sb)
+    (j = 1 for a vector core).  Returns the (ra sa, n, j, rb sb) core whose
+    bonds are the Kronecker products of the input bonds, A's index major.
+    """
+    ra, n, m, rb = ca.shape
+    sa, _, j, sb = cb.shape
+    left = ca.transpose(0, 1, 3, 2).reshape(ra * n * rb, m)
+    right = cb.transpose(1, 0, 2, 3).reshape(m, sa * j * sb)
+    out = (left @ right).reshape(ra, n, rb, sa, j, sb)
+    return out.transpose(0, 3, 1, 4, 2, 5).reshape(ra * sa, n, j, rb * sb)
+
+
 def tt_apply(a: TTOperator, x: TTVector) -> TTVector:
     """Contract an operator with a vector; bond ranks multiply exactly."""
     if a.col_modes != x.modes:
@@ -437,10 +478,9 @@ def tt_apply(a: TTOperator, x: TTVector) -> TTVector:
             f"{x.modes}")
     cores = []
     for ca, cx in zip(a.cores, x.cores):
-        ra, n, _, rb = ca.shape
-        sa, _, sb = cx.shape
-        new = np.einsum("aijb,cjd->acibd", ca, cx)
-        cores.append(new.reshape(ra * sa, n, rb * sb))
+        sa, m, sb = cx.shape
+        new = _core_product(ca, cx.reshape(sa, m, 1, sb))
+        cores.append(new.reshape(new.shape[0], new.shape[1], new.shape[3]))
     return make_tt_vector(cores)
 
 
@@ -450,13 +490,8 @@ def tt_op_compose(a: TTOperator, b: TTOperator) -> TTOperator:
         raise ModeMismatchError(
             f"cannot compose: col_modes {a.col_modes} vs row_modes "
             f"{b.row_modes}")
-    cores = []
-    for ca, cb in zip(a.cores, b.cores):
-        ra, n, _, rb = ca.shape
-        sa, _, m, sb = cb.shape
-        new = np.einsum("aikb,ckjd->acijbd", ca, cb)
-        cores.append(new.reshape(ra * sa, n, m, rb * sb))
-    return make_tt_operator(cores)
+    return make_tt_operator(
+        [_core_product(ca, cb) for ca, cb in zip(a.cores, b.cores)])
 
 
 def tt_random(modes, ranks, seed: int) -> TTVector:

@@ -30,6 +30,25 @@ def dense_op_from_cores(cores):
     return out
 
 
+def min_rank_for_tail_loop(s, tau):
+    """Truncation rank by a scan: smallest r whose tail energy is <= tau, >= 1.
+
+    tail[r] = sqrt(sum_{i >= r} s_i^2), accumulated from the smallest value
+    up, as the package's rounding does.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    if s.size == 0:
+        return 1
+    tail = np.sqrt(np.maximum(np.cumsum(s[::-1] ** 2), 0.0))[::-1]
+    keep = s.size
+    for r in range(s.size + 1):
+        t = tail[r] if r < s.size else 0.0
+        if t <= tau:
+            keep = r
+            break
+    return max(1, keep)
+
+
 def kron_chain(mats):
     out = np.array([[1.0]])
     for m in mats:

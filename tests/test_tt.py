@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttkrylov import (
     DenseBudgetError,
@@ -30,8 +32,14 @@ from ttkrylov import (
     tt_to_dense,
     tt_zero,
 )
+from ttkrylov.tt import _min_rank_for_tail, dense_budget
 
-from oracles import dense_from_cores, dense_op_from_cores, kron_sum
+from oracles import (
+    dense_from_cores,
+    dense_op_from_cores,
+    kron_sum,
+    min_rank_for_tail_loop,
+)
 
 rng = np.random.default_rng(2024)
 
@@ -109,6 +117,14 @@ class TestFromToDense:
     def test_dense_budget(self, monkeypatch):
         monkeypatch.setenv("TTKRYLOV_DENSE_BUDGET", "10")
         with pytest.raises(DenseBudgetError):
+            tt_to_dense(rand_vec((4, 4), (1, 2, 1)))
+
+    @pytest.mark.parametrize("raw", ["abc", "", "inf", "1e400"])
+    def test_dense_budget_malformed(self, monkeypatch, raw):
+        monkeypatch.setenv("TTKRYLOV_DENSE_BUDGET", raw)
+        with pytest.raises(TTError, match="TTKRYLOV_DENSE_BUDGET"):
+            dense_budget()
+        with pytest.raises(TTError, match="TTKRYLOV_DENSE_BUDGET"):
             tt_to_dense(rand_vec((4, 4), (1, 2, 1)))
 
 
@@ -222,6 +238,80 @@ class TestRound:
                                    rtol=1e-11, atol=1e-11)
 
 
+@st.composite
+def spectra(draw):
+    """Non-increasing singular values (zeros and repeats allowed) and a tau."""
+    values = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1e-3]),
+                       st.floats(0.0, 1e3, allow_subnormal=False))
+    s = np.sort(np.array(draw(st.lists(values, max_size=12))))[::-1]
+    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
+    scale = float(tail[0]) if s.size else 1.0
+    tau = draw(st.one_of(st.just(0.0),
+                         st.sampled_from(list(tail) or [0.0]),
+                         st.floats(0.0, 2.0 * scale + 1.0)))
+    return s, tau
+
+
+class TestTruncationRank:
+    @settings(max_examples=300, deadline=None)
+    @given(spectra())
+    def test_matches_loop_rule(self, case):
+        s, tau = case
+        assert _min_rank_for_tail(s, tau) == min_rank_for_tail_loop(s, tau)
+
+    def test_edges(self):
+        assert _min_rank_for_tail(np.array([]), 0.0) == 1
+        assert _min_rank_for_tail(np.array([3.0, 0.0, 0.0]), 0.0) == 1
+        assert _min_rank_for_tail(np.array([2.0, 2.0, 2.0]), 0.0) == 3
+        assert _min_rank_for_tail(np.array([2.0, 2.0, 2.0]), 2.0) == 2
+        assert _min_rank_for_tail(np.array([2.0, 2.0, 2.0]), 1e9) == 1
+
+
+def natural_caps(modes):
+    """Largest possible rank of each interior bond: min(left, right) size."""
+    return [min(int(np.prod(modes[:k])), int(np.prod(modes[k:])))
+            for k in range(1, len(modes))]
+
+
+@st.composite
+def inflated_sums(draw):
+    """Sums of 2-6 random TTs whose bonds exceed their natural caps."""
+    d = draw(st.integers(2, 4))
+    modes = tuple(draw(st.lists(st.integers(1, 3), min_size=d, max_size=d)))
+    caps = natural_caps(modes)
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = []
+    for _ in range(draw(st.integers(2, 6))):
+        ranks = [1] + [int(r.integers(1, c + 1)) for c in caps] + [1]
+        terms.append(make_tt_vector(
+            [r.standard_normal((ranks[k], n, ranks[k + 1]))
+             for k, n in enumerate(modes)]))
+    x = terms[0]
+    for t in terms[1:]:
+        x = tt_add(x, t)
+    return x
+
+
+class TestRoundProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(inflated_sums(), st.sampled_from([1e-10, 1e-4, 1e-2, 0.3]))
+    def test_round_contract(self, x, delta):
+        ref = dense_from_cores(x.cores)
+        nrm = np.linalg.norm(ref)
+        assert abs(tt_norm(x) - nrm) <= 1e-12 * nrm
+
+        z = tt_round(x, delta)
+        err = np.linalg.norm(dense_from_cores(z.cores) - ref)
+        assert err <= (delta + 1e-12) * nrm
+        for out, cap, rank in zip(z.ranks[1:-1], natural_caps(x.modes),
+                                  x.ranks[1:-1]):
+            assert out <= min(cap, rank)
+
+        exact = tt_round(x, 0.0)
+        err0 = np.linalg.norm(dense_from_cores(exact.cores) - ref)
+        assert err0 <= 1e-12 * nrm
+
+
 class TestOperator:
     def test_apply_rank_product(self):
         a = rand_op((4, 4, 4), (4, 4, 4), (1, 2, 2, 1))
@@ -263,6 +353,31 @@ class TestOperator:
         a = tt_op_from_factors([m])
         c = tt_op_compose(a, a)
         np.testing.assert_allclose(tt_op_to_dense(c), m @ m, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_apply_matches_loop_oracle(self, d):
+        rows, cols = (3, 2, 4, 2)[:d], (2, 4, 1, 3)[:d]
+        a = rand_op(rows, cols, (1, 2, 3, 2)[:d] + (1,), seed=d)
+        x = rand_vec(cols, (1, 3, 2, 2)[:d] + (1,), seed=10 + d)
+        y = tt_apply(a, x)
+        assert y.ranks == tuple(p * q for p, q in zip(a.ranks, x.ranks))
+        ref = dense_op_from_cores(a.cores) @ dense_from_cores(x.cores).ravel()
+        got = dense_from_cores(y.cores).ravel()
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.linalg.norm(ref))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_compose_matches_loop_oracle(self, d):
+        rows, mid, cols = (3, 2, 1, 2)[:d], (2, 3, 2, 2)[:d], (1, 2, 3, 2)[:d]
+        a = rand_op(rows, mid, (1, 2, 3, 2)[:d] + (1,), seed=d)
+        b = rand_op(mid, cols, (1, 3, 2, 2)[:d] + (1,), seed=10 + d)
+        c = tt_op_compose(a, b)
+        assert c.ranks == tuple(p * q for p, q in zip(a.ranks, b.ranks))
+        assert (c.row_modes, c.col_modes) == (rows, cols)
+        ref = dense_op_from_cores(a.cores) @ dense_op_from_cores(b.cores)
+        np.testing.assert_allclose(dense_op_from_cores(c.cores), ref,
+                                   rtol=1e-12,
+                                   atol=1e-12 * np.linalg.norm(ref))
 
     def test_op_dense_matches_loop_oracle(self):
         a = rand_op((3, 2, 3), (2, 3, 2), (1, 2, 2, 1))
