@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import OperatorChain, estimate_l2_norm, WORKING_PRECISION
+from .solver import (OperatorChain, WORKING_PRECISION, _as_chain,
+                     estimate_l2_norm)
 from .tt import (
-    TTOperator,
     TTVector,
     tt_add,
     tt_norm,
     tt_op_diag_slice,
-    tt_round,
     tt_scale,
     tt_slice_first_mode,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "BoundParams",
     "BoundReport",
     "backward_errors",
-    "slice_backward_errors",
     "bound_factors",
     "verify_bounds",
 ]
@@ -54,9 +52,7 @@ class BackwardErrors:
 
     eta_b: float
     eta_Ab: float
-    eta_tilde_b: float | None
     residual_norm: float
-    lsq_residual_norm: float | None
 
 
 @dataclass(frozen=True)
@@ -111,71 +107,32 @@ class BoundReport:
     selector: str = "upsilon"
 
 
-def _apply(op_or_chain, x):
-    return _chain(op_or_chain).apply(x, delta=WORKING_PRECISION)
-
-
-def _chain(op_or_chain) -> OperatorChain:
-    if isinstance(op_or_chain, OperatorChain):
-        return op_or_chain
-    return OperatorChain([op_or_chain])
-
-
-def backward_errors(a, m, x: TTVector, b: TTVector,
+def backward_errors(a, x: TTVector, b: TTVector,
                     opnorm: float) -> BackwardErrors:
-    """eta_b and eta_Ab of the iterate x for A x = b (or A M t = b).
+    """eta_b and eta_Ab of the iterate x for A x = b.
 
-    With a preconditioner m, x is interpreted as the preconditioned iterate
-    t.  The residual is computed in TT arithmetic without rounding beyond
-    working precision.
+    `a` is an operator or a chain; for a chain ending in a preconditioner,
+    x is the preconditioned iterate t and `opnorm` estimates |A M|.  The
+    residual is computed in TT arithmetic without rounding beyond working
+    precision.
     """
     if opnorm <= 0:
         raise ValueError("opnorm must be > 0")
     bnorm = tt_norm(b)
     if bnorm == 0:
         raise ValueError("rhs has zero norm")
-    chain = _chain(a) if m is None else OperatorChain([a, m])
-    z = tt_add(chain.apply(x, delta=WORKING_PRECISION), tt_scale(b, -1.0))
+    z = tt_add(_as_chain(a).apply(x, delta=WORKING_PRECISION),
+               tt_scale(b, -1.0))
     rnorm = tt_norm(z)
     return BackwardErrors(
         eta_b=rnorm / bnorm,
         eta_Ab=rnorm / (opnorm * tt_norm(x) + bnorm),
-        eta_tilde_b=None,
         residual_norm=rnorm,
-        lsq_residual_norm=None,
     )
 
 
 def _slice_chain(chain: OperatorChain, ell: int) -> OperatorChain:
     return OperatorChain([tt_op_diag_slice(f, ell) for f in chain.factors])
-
-
-def slice_backward_errors(a, x: TTVector, b: TTVector,
-                          norm_samples: int = 10, seed: int = 0,
-                          extra_iterates=()) -> list[BackwardErrors]:
-    """Backward errors of every extracted slice of an all-in-one iterate.
-
-    `a` is the all-in-one operator (or a chain ending in one); slice l of
-    the system is recovered with the diagonal-selector slice of each factor.
-    The per-slice operator norm estimate is the sampled maximum, sharpened
-    with the Rayleigh quotients of x (and any extra iterates supplied).
-    """
-    chain = _chain(a)
-    p = b.modes[0]
-    out = []
-    for ell in range(1, p + 1):
-        sub = _slice_chain(chain, ell)
-        x_l = tt_slice_first_mode(x, ell)
-        b_l = tt_slice_first_mode(b, ell)
-        est = estimate_l2_norm(sub, norm_samples, seed)
-        for it in (x,) + tuple(extra_iterates):
-            it_l = tt_slice_first_mode(it, ell)
-            nrm = tt_norm(it_l)
-            if nrm > 0:
-                est = max(est, tt_norm(sub.apply(
-                    it_l, delta=WORKING_PRECISION)) / nrm)
-        out.append(backward_errors(sub, None, x_l, b_l, est))
-    return out
 
 
 def bound_factors(x: TTVector, x_slices, ax_slice_norms,
@@ -230,13 +187,12 @@ def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
 
     Violations beyond `slack` are recorded, never raised.
     """
-    chain = _chain(a)
+    chain = _as_chain(a)
     p = b.modes[0]
     sp = math.sqrt(p)
     n_it = len(iterates)
     if n_it == 0:
         raise ValueError("need at least one iterate")
-    bnorm = tt_norm(b)
     b_slices = [tt_slice_first_mode(b, ell) for ell in range(1, p + 1)]
     b_slice_norms = [tt_norm(bl) for bl in b_slices]
 
@@ -246,17 +202,15 @@ def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
     slice_est = [estimate_l2_norm(sc, norm_samples, seed)
                  for sc in sub_chains]
 
-    res_norm = np.zeros(n_it)
-    x_norm = np.zeros(n_it)
+    eta_b = np.zeros(n_it)
+    eta_ab = np.zeros(n_it)
     res_slice = np.zeros((n_it, p))
     ax_slice = np.zeros((n_it, p))
     x_slice_norm = np.zeros((n_it, p))
     x_slices_all = []
     for k, x in enumerate(iterates):
-        z = tt_add(chain.apply(x, delta=WORKING_PRECISION),
-                   tt_scale(b, -1.0))
-        res_norm[k] = tt_norm(z)
-        x_norm[k] = tt_norm(x)
+        joint = backward_errors(chain, x, b, opnorm_A)
+        eta_b[k], eta_ab[k] = joint.eta_b, joint.eta_Ab
         row = []
         for ell in range(p):
             x_l = tt_slice_first_mode(x, ell + 1)
@@ -280,8 +234,6 @@ def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
                          opnorm_A=opnorm_A, opnorm_A0=opnorm_A,
                          opnorm_Ainv=opnorm_Ainv)
 
-    eta_b = res_norm / bnorm
-    eta_ab = res_norm / (opnorm_A * x_norm + bnorm)
     eta_b_sl = res_slice / np.asarray(b_slice_norms)[None, :]
     eta_ab_sl = np.zeros_like(eta_b_sl)
     eta_ab_sl_joint = np.zeros_like(eta_b_sl)

@@ -1,15 +1,20 @@
 """MGS-GMRES in tensor-train arithmetic with rounding-aware telemetry.
 
-The core loop rounds at a constant accuracy delta after the operator
-application, after the orthogonalization sweep, and when the iterate is
-assembled.  A relaxed variant scales delta by the inverse of the scaled
-least-squares residual instead.  Every iteration is logged as an
-IterationRecord; convergence is judged on a normwise backward error.
+One engine, the restarted right-preconditioned driver ``tt_right_gmres``,
+runs every variant: full GMRES is the restart length m = maxit, and relaxed
+GMRES is a rounding policy.  Iteration k of a cycle rounds at an accuracy
+delta_k after each operator contraction, after the orthogonalization sweep,
+and when the iterate is assembled.  The constant policy keeps
+delta_k = delta; the relaxed policy loosens every one of these roundings to
+delta_k = min(1, delta / |r~_{k-1}|), with |r~_{k-1}| the least-squares
+residual norm of the previous iteration (the cycle's rhs norm at k = 1).
+Every iteration is logged as an IterationRecord; convergence is judged on a
+normwise backward error.
 
 To keep intermediate bond ranks bounded on long cycles, the MGS subtraction
 loop and the iterate accumulation apply stabilization roundings at
-``delta / (4 * cycle_len)``.  Their combined perturbation per iteration is
-below delta / 2, so the backward-error plateau and the basis-orthogonality
+``delta_k / (4 * k)``.  Their combined perturbation per iteration is below
+delta_k / 2, so the backward-error plateau and the basis-orthogonality
 contract (100 * delta) are unaffected.
 """
 
@@ -48,6 +53,15 @@ __all__ = [
 
 #: rounding accuracy used where the algorithm calls for exact arithmetic
 WORKING_PRECISION = 1e-13
+#: random vectors, and their bond rank, of the sampled L2-norm estimate
+NORM_SAMPLES = 10
+SAMPLE_RANK = 2
+#: breakdown threshold (times beta; hard when R's diagonal falls below it
+#: too, times the norm of the Hessenberg column)
+BREAKDOWN_TOL = 1e-14
+#: a plateau is a window whose best value the latest one fails to beat by
+#: this relative margin
+PLATEAU_RTOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -60,16 +74,11 @@ class GmresConfig:
     maxit: int = 100                  # global iteration cap
     rounding_policy: str = "constant"   # constant | relaxed
     stopping_criterion: str = "eta_Ab"  # eta_Ab | eta_b | eta_tilde_b
-    norm_samples: int = 10            # samples for the L2-norm estimate
-    sample_rank: int = 2              # bond rank of the sample vectors
-    seed: int = 0
+    seed: int = 0                     # first sample of the norm estimate
     assembly_every: int = 1           # evaluate the iterate every c steps
     keep_iterates: bool = False       # retain assembled iterates in outcome
     keep_basis: bool = False          # retain Krylov bases (tests only)
-    breakdown_tol: float = 1e-14      # breakdown threshold (times beta; hard
-                                      # when R's diagonal falls below it too)
     plateau_window: int = 0           # 0 disables plateau detection
-    plateau_rtol: float = 0.05
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -259,8 +268,8 @@ def hessenberg_lsq(hbar: np.ndarray, beta: float):
     return lsq.solve(), lsq.residual
 
 
-def estimate_l2_norm(op, samples: int = 10, seed: int = 0,
-                     sample_rank: int = 2) -> float:
+def estimate_l2_norm(op, samples: int = NORM_SAMPLES, seed: int = 0,
+                     sample_rank: int = SAMPLE_RANK) -> float:
     """Sampled L2 norm: max image norm over random unit TT vectors."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -312,8 +321,8 @@ def _gmres_cycle(chain: OperatorChain, rhs: TTVector, cfg: GmresConfig,
     last assembled iterate of this cycle (in the preconditioned variable when
     the chain has a preconditioner factor).
 
-    A breakdown (h_{k+1,k} below breakdown_tol * beta) is lucky when the
-    rotated diagonal r_kk stays above breakdown_tol times the norm of
+    A breakdown (h_{k+1,k} below BREAKDOWN_TOL * beta) is lucky when the
+    rotated diagonal r_kk stays above BREAKDOWN_TOL times the norm of
     column k: the least-squares problem is then solved exactly.  Otherwise
     it is hard: A is singular on the Krylov space and the system is
     inconsistent there (Brown & Walker, SIMAX 1997), so column k is dropped
@@ -354,12 +363,12 @@ def _gmres_cycle(chain: OperatorChain, rhs: TTVector, cfg: GmresConfig,
         w = tt_round(w, delta_k)
         h_last = tt_norm(w)
         col[k] = h_last
-        breakdown = h_last < cfg.breakdown_tol * beta_cycle
+        breakdown = h_last < BREAKDOWN_TOL * beta_cycle
         if not breakdown:
             v.append(tt_scale(w, 1.0 / h_last))
         lsq.append_column(col)
         if breakdown and abs(lsq.r_cols[-1][-1]) <= \
-                cfg.breakdown_tol * np.linalg.norm(col):
+                BREAKDOWN_TOL * np.linalg.norm(col):
             hard_breakdown = True
             lsq.pop_column()
         eta_tilde = lsq.residual / ctx.beta
@@ -418,7 +427,7 @@ def _gmres_cycle(chain: OperatorChain, rhs: TTVector, cfg: GmresConfig,
             window = eta_hist[-(cfg.plateau_window + 1):]
             best_prev, latest = min(window[:-1]), window[-1]
             if latest <= 100 * cfg.delta and \
-                    latest > best_prev * (1.0 - cfg.plateau_rtol):
+                    latest > best_prev * (1.0 - PLATEAU_RTOL):
                 plateaued = True
                 break
 
@@ -436,77 +445,58 @@ def _gmres_cycle(chain: OperatorChain, rhs: TTVector, cfg: GmresConfig,
 def tt_gmres(a, b: TTVector, cfg: GmresConfig) -> GmresOutcome:
     """Full TT-GMRES (no restart) on A x = b with zero initial guess.
 
-    `a` may be a TTOperator or an OperatorChain (preconditioned system).
-    Runs until the configured stopping criterion drops below epsilon or
-    maxit iterations are reached.  A hard breakdown (see _gmres_cycle) stops
-    the solve unconverged with meta["stagnated"] set; with cfg.keep_basis the
-    Krylov basis is returned as meta["bases"][0].
+    The restarted driver with one cycle of cfg.maxit iterations; `a` may be a
+    TTOperator or an OperatorChain (then the solution is in the variable the
+    chain acts on).  See tt_right_gmres for the outcome's meta entries.
     """
-    chain = _as_chain(a)
-    if chain.col_modes != b.modes or chain.row_modes != b.modes:
-        raise ValueError("operator must be square and match the rhs modes")
-    beta = tt_norm(b)
-    opnorm = estimate_l2_norm(chain, cfg.norm_samples, cfg.seed,
-                              cfg.sample_rank)
-    ctx = _GlobalContext(beta=beta, opnorm=opnorm,
-                         preconditioned=len(chain.factors) > 1)
-    if beta == 0.0:
-        return GmresOutcome(solution=tt_zero(b.modes), converged=True,
-                            iterations=0, trace=[], estimated_opnorm=opnorm)
-    x, converged, iters, plateaued, hard = _gmres_cycle(chain, b, cfg, ctx,
-                                                        cfg.maxit)
-    meta = {"plateaued": plateaued, "stagnated": hard,
-            "opnorm_recomputed_after_restart": False}
-    if cfg.keep_basis:
-        meta["bases"] = ctx.bases
-    return GmresOutcome(solution=x, converged=converged, iterations=iters,
-                        trace=ctx.records, estimated_opnorm=opnorm,
-                        iterates=ctx.iterates, meta=meta)
+    return tt_right_gmres(a, None, b, None, replace(cfg, m=cfg.maxit))
 
 
 def relaxed_tt_gmres(a, b: TTVector, cfg: GmresConfig) -> GmresOutcome:
-    """TT-GMRES with an iteration-dependent matrix-vector rounding accuracy.
+    """Full TT-GMRES with an iteration-dependent rounding accuracy.
 
-    The operator application at step k is rounded at
-    ``delta_k = min(1, delta / |r~_{k-1}|)``, i.e. scaled by the inverse
-    least-squares residual norm, while basis and iterate roundings stay at
-    delta; the stopping test is on the scaled least-squares residual
-    eta_tilde_b.
+    Every rounding of step k (operator contractions, basis vector and
+    assembled iterate) is done at ``delta_k = min(1, delta / |r~_{k-1}|)``,
+    where |r~_{k-1}| is the least-squares residual norm of the previous
+    step, and the stabilization roundings at ``delta_k / (4 k)``; the
+    stopping test is on the scaled least-squares residual eta_tilde_b.
     """
     cfg = replace(cfg, rounding_policy="relaxed",
                   stopping_criterion="eta_tilde_b")
     return tt_gmres(a, b, cfg)
 
 
-def tt_right_gmres(a: TTOperator, m: TTOperator | None, b: TTVector,
+def tt_right_gmres(a, m: TTOperator | None, b: TTVector,
                    x0: TTVector | None, cfg: GmresConfig) -> GmresOutcome:
     """Restarted right-preconditioned GMRES (Alg. 4 driver).
 
-    Repeats: r = round(b - A x, delta); run an inner cycle on A M t = r for
-    up to cfg.m iterations; x = round(x + M t, delta).  Returns the
-    unpreconditioned solution with the merged trace.  Two events raise
-    meta["stagnated"] and stop the solve unconverged: a cycle that fails to
-    shrink the outer residual by 1e-14 relative, and a hard breakdown inside
-    a cycle (see _gmres_cycle), where the cycle's update is still the
-    least-squares solution over the columns before the breakdown.  With
-    cfg.keep_basis, meta["bases"] holds each cycle's Krylov basis.
+    `a` is a TTOperator or an OperatorChain; the inner cycles solve with the
+    chain a M.  Repeats: r = round(b - A x, delta); run an inner cycle on
+    A M t = r for up to cfg.m iterations; x = round(x + M t, delta).  With
+    no initial guess the first residual is b itself, which is exact for
+    x = 0.  Returns the unpreconditioned solution with the merged trace.
+    Two events raise meta["stagnated"] and stop the solve unconverged: a
+    cycle that fails to shrink the outer residual by 1e-14 relative, and a
+    hard breakdown inside a cycle (see _gmres_cycle), where the cycle's
+    update is still the least-squares solution over the columns before the
+    breakdown.  meta["plateaued"] reports a plateau stop and meta["cycles"]
+    the cycle count.  With cfg.keep_basis, meta["bases"] holds each cycle's
+    Krylov basis.
     """
-    factors = [a] if m is None else [a, m]
-    chain = OperatorChain(factors)
-    if chain.col_modes != b.modes or a.row_modes != b.modes:
+    op = _as_chain(a)
+    chain = op if m is None else OperatorChain(op.factors + (m,))
+    if chain.col_modes != b.modes or chain.row_modes != b.modes:
         raise ValueError("operator/preconditioner modes must match the rhs")
     x = tt_zero(b.modes) if x0 is None else x0
     beta = tt_norm(b)
-    opnorm = estimate_l2_norm(chain, cfg.norm_samples, cfg.seed,
-                              cfg.sample_rank)
+    opnorm = estimate_l2_norm(chain, seed=cfg.seed)
     ctx = _GlobalContext(beta=beta, opnorm=opnorm,
-                         preconditioned=m is not None,
-                         offset_t=None)
+                         preconditioned=len(chain.factors) > 1)
     outcome = GmresOutcome(solution=x, converged=False, iterations=0,
                            trace=ctx.records, estimated_opnorm=opnorm,
                            iterates=ctx.iterates,
-                           meta={"opnorm_recomputed_after_restart": False,
-                                 "stagnated": False, "cycles": 0})
+                           meta={"stagnated": False, "plateaued": False,
+                                 "cycles": 0})
     if cfg.keep_basis:
         outcome.meta["bases"] = ctx.bases
     if beta == 0.0:
@@ -515,7 +505,10 @@ def tt_right_gmres(a: TTOperator, m: TTOperator | None, b: TTVector,
     prev_res = math.inf
     total = 0
     while total < cfg.maxit:
-        r = tt_round(tt_add(b, tt_scale(tt_apply(a, x), -1.0)), cfg.delta)
+        if x0 is None and outcome.meta["cycles"] == 0:
+            r = b
+        else:
+            r = tt_round(tt_add(b, tt_scale(op.apply(x), -1.0)), cfg.delta)
         res_norm = tt_norm(r)
         if res_norm == 0.0:
             outcome.converged = True

@@ -85,7 +85,8 @@ def dense_budget() -> int:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    """Read-only float64 view of `a`; the caller's array keeps its flags."""
+    a = np.ascontiguousarray(a, dtype=np.float64).view()
     a.flags.writeable = False
     return a
 
@@ -161,36 +162,39 @@ class StorageStats:
     compression_ratio: float
 
 
-def make_tt_vector(cores) -> TTVector:
-    """Validate a list of order-3 cores and wrap it as a TTVector."""
+def _frozen_cores(cores, order: int, kind: str) -> tuple[np.ndarray, ...]:
+    """Check a list of order-`order` cores and return read-only views."""
     if not cores:
         raise TTError("empty core list")
     frozen = []
     for k, c in enumerate(cores):
         c = np.asarray(c, dtype=np.float64)
-        if c.ndim != 3:
-            raise TTError(f"core {k} must be order 3, got shape {c.shape}")
+        if c.ndim != order:
+            raise TTError(
+                f"core {k} must be order {order}, got shape {c.shape}")
         if min(c.shape) < 1:
             raise TTError(f"core {k} has an empty axis: {c.shape}")
         frozen.append(_freeze(c))
-    _check_chain([c.shape for c in frozen], "vector")
-    return TTVector(tuple(frozen))
+    _check_chain([c.shape for c in frozen], kind)
+    return tuple(frozen)
+
+
+def make_tt_vector(cores) -> TTVector:
+    """Validate a list of order-3 cores and wrap it as a TTVector.
+
+    Cores are not copied: the vector holds read-only views of the caller's
+    float64 C-contiguous arrays (other arrays are converted first), so
+    writing into such an array afterwards changes the vector.
+    """
+    return TTVector(_frozen_cores(cores, 3, "vector"))
 
 
 def make_tt_operator(cores) -> TTOperator:
-    """Validate a list of order-4 cores and wrap it as a TTOperator."""
-    if not cores:
-        raise TTError("empty core list")
-    frozen = []
-    for k, c in enumerate(cores):
-        c = np.asarray(c, dtype=np.float64)
-        if c.ndim != 4:
-            raise TTError(f"core {k} must be order 4, got shape {c.shape}")
-        if min(c.shape) < 1:
-            raise TTError(f"core {k} has an empty axis: {c.shape}")
-        frozen.append(_freeze(c))
-    _check_chain([c.shape for c in frozen], "operator")
-    return TTOperator(tuple(frozen))
+    """Validate a list of order-4 cores and wrap it as a TTOperator.
+
+    Cores are not copied; see make_tt_vector.
+    """
+    return TTOperator(_frozen_cores(cores, 4, "operator"))
 
 
 def tt_zero(modes) -> TTVector:

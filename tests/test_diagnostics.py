@@ -1,0 +1,134 @@
+import numpy as np
+import pytest
+
+from ttkrylov import (tt_op_diag_slice, tt_op_to_dense, tt_slice_first_mode,
+                      tt_to_dense)
+from ttkrylov.diagnostics import BoundParams, backward_errors, verify_bounds
+from ttkrylov.operators import (
+    Grid1D,
+    ParamSet,
+    inv_laplacian_preconditioner,
+    kron_leading_identity,
+    parametric_convection_diffusion_problem,
+)
+from ttkrylov.solver import GmresConfig, OperatorChain, tt_right_gmres
+
+P = 2
+N = 3
+
+
+def assert_close(actual, desired):
+    # The TT residual is formed after roundings at working precision, so
+    # near convergence it agrees with the dense one only to an absolute
+    # level of about 1e-13 |A| |x|.
+    np.testing.assert_allclose(actual, desired, rtol=1e-9, atol=1e-11)
+
+
+@pytest.fixture(scope="module", params=[False, True],
+                ids=["plain", "preconditioned"])
+def solved(request):
+    """Param-convdiff (n = 3, p = 2) solve with its iterates, and the dense
+    operator of the system the iterates belong to (A, or A M)."""
+    g = Grid1D(N, -1.0, 1.0)
+    prob = parametric_convection_diffusion_problem(g, ParamSet.log_spaced(P))
+    factors = [prob.operator]
+    if request.param:
+        factors.append(kron_leading_identity(
+            P, inv_laplacian_preconditioner(3, g, 2, 1e-2)))
+    chain = OperatorChain(factors)
+    cfg = GmresConfig(m=40, maxit=40, epsilon=1e-9, delta=1e-12,
+                      keep_iterates=True)
+    out = tt_right_gmres(prob.operator, factors[1] if request.param else None,
+                         prob.rhs, None, cfg)
+    assert out.converged and len(out.iterates) >= 3
+    dense = tt_op_to_dense(factors[0])
+    for f in factors[1:]:
+        dense = dense @ tt_op_to_dense(f)
+    return chain, prob.rhs, out.iterates, dense
+
+
+def _dense_slice(dense, ell):
+    """Block (ell, ell) of an operator acting on p stacked systems."""
+    k = dense.shape[0] // P
+    blocks = dense.reshape(P, k, P, k)
+    return blocks[ell, :, ell, :]
+
+
+def test_backward_errors_match_dense(solved):
+    chain, b, iterates, a = solved
+    bd = tt_to_dense(b).ravel()
+    opnorm = np.linalg.norm(a, 2)
+    for x in iterates:
+        xd = tt_to_dense(x).ravel()
+        r = np.linalg.norm(a @ xd - bd)
+        be = backward_errors(chain, x, b, opnorm)
+        assert_close(be.residual_norm, r)
+        assert_close(be.eta_b, r / np.linalg.norm(bd))
+        assert_close(
+            be.eta_Ab, r / (opnorm * np.linalg.norm(xd)
+                            + np.linalg.norm(bd)))
+
+
+def test_backward_errors_on_a_slice(solved):
+    chain, b, iterates, a = solved
+    x = iterates[-1]
+    for ell in range(P):
+        sub = OperatorChain([tt_op_diag_slice(f, ell + 1)
+                             for f in chain.factors])
+        al = _dense_slice(a, ell)
+        xl = tt_to_dense(x).reshape(P, -1)[ell]
+        bl = tt_to_dense(b).reshape(P, -1)[ell]
+        opnorm = np.linalg.norm(al, 2)
+        r = np.linalg.norm(al @ xl - bl)
+        be = backward_errors(sub, tt_slice_first_mode(x, ell + 1),
+                             tt_slice_first_mode(b, ell + 1), opnorm)
+        assert_close(be.eta_b, r / np.linalg.norm(bl))
+        assert_close(
+            be.eta_Ab, r / (opnorm * np.linalg.norm(xl)
+                            + np.linalg.norm(bl)))
+
+
+def test_verify_bounds_matches_dense(solved):
+    chain, b, iterates, a = solved
+    bd = tt_to_dense(b).ravel()
+    norm_a = np.linalg.norm(a, 2)
+    norm_ainv = np.linalg.norm(np.linalg.inv(a), 2)
+    report = verify_bounds(chain, b, iterates, norm_a,
+                           opnorm_Ainv=norm_ainv)
+    assert report.violations == []
+    assert report.p == P and report.iterations == len(iterates)
+
+    xs = [tt_to_dense(x).ravel() for x in iterates]
+    for k, xd in enumerate(xs):
+        r = np.linalg.norm(a @ xd - bd)
+        assert_close(report.eta_b[k], r / np.linalg.norm(bd))
+        assert_close(
+            report.eta_Ab[k],
+            r / (norm_a * np.linalg.norm(xd) + np.linalg.norm(bd)))
+
+    for ell in range(P):
+        al = _dense_slice(a, ell)
+        bl = bd.reshape(P, -1)[ell]
+        xls = [xd.reshape(P, -1)[ell] for xd in xs]
+        res = [np.linalg.norm(al @ xl - bl) for xl in xls]
+        assert_close(
+            [report.eta_b_slice[k][ell] for k in range(len(xs))],
+            np.array(res) / np.linalg.norm(bl))
+        # eta_Ab_slice uses one sampled slice norm for every iterate; it
+        # must lie between the iterates' Rayleigh quotients and |A_l|_2.
+        bn = np.linalg.norm(bl)
+        est = [(report.eta_b_slice[k][ell] * bn / report.eta_Ab_slice[k][ell]
+                - bn) / np.linalg.norm(xls[k]) for k in range(len(xs))]
+        np.testing.assert_allclose(est, est[0], rtol=1e-9)
+        rayleigh = max(np.linalg.norm(al @ xl) / np.linalg.norm(xl)
+                       for xl in xls)
+        assert rayleigh * (1 - 1e-9) <= est[0]
+        assert est[0] <= np.linalg.norm(al, 2) * (1 + 1e-9)
+
+    kappa = np.linalg.cond(a, 2)
+    assert report.nu < 2.0
+    assert_close(
+        BoundParams(p=P, nu=report.nu, opnorm_A=norm_a, opnorm_A0=norm_a,
+                    opnorm_Ainv=norm_ainv).kappa2, kappa)
+    assert_close(report.rho_dagger,
+                 np.sqrt(P) * (1 + kappa) / (2 - report.nu))

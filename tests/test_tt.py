@@ -84,6 +84,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             x.cores[0][0, 0, 0] = 1.0
 
+    def test_caller_arrays_stay_writeable(self):
+        a = np.zeros((1, 3, 1))
+        x = make_tt_vector([a])
+        a[0, 0, 0] = 1.0                       # the caller's array
+        with pytest.raises(ValueError):
+            x.cores[0][0, 0, 0] = 2.0
+        c = np.zeros((1, 2, 2, 1))
+        op = make_tt_operator([c])
+        c[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            op.cores[0][0, 0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize("make, cores, message", [
+        (make_tt_vector, [np.zeros((1, 2, 2, 1))], "order 3"),
+        (make_tt_operator, [np.zeros((1, 2, 1))], "order 4"),
+        (make_tt_operator, [np.zeros((1, 0, 2, 1))], "empty axis"),
+        (make_tt_operator, [np.zeros((1, 2, 2, 2)), np.zeros((3, 2, 2, 1))],
+         "operator cores 0 and 1"),
+    ])
+    def test_invalid_cores(self, make, cores, message):
+        with pytest.raises(TTError, match=message):
+            make(cores)
+
 
 class TestFromToDense:
     def test_rank_one_separable(self):
