@@ -1,18 +1,22 @@
 """Batch experiment harness: declarative configs in, CSV/JSON histories out.
 
 Config files are flat ``key = value`` text (# comments allowed); every value
-can be overridden from the command line with ``--set key=value``.  Each run
-writes a convergence trace, an optional bound report and a manifest; the
-process exits nonzero when the solver did not converge.  The
-relaxed-compare experiment reports success once both of its solves ran,
-since its relaxed branch is expected not to converge in the backward-error
-sense.  The experiments are the rows of one table, ``EXPERIMENTS``.
+can be overridden from the command line with ``--set key=value``.  The
+experiments are the rows of one table, ``EXPERIMENTS``.  A row's builder
+returns the systems it solves; run_experiment solves each one with the
+restarted driver and writes its convergence trace and optional bound
+report, then one manifest for the run.  A key that is set but that the
+experiment does not read draws a warning.  The process exits nonzero when
+a judged experiment has a solve that did not converge; relaxed-compare is
+not judged, since both of its solves run to a rounding floor below any
+reachable backward error and succeed once they ran.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
 import sys
@@ -27,6 +31,7 @@ from .diagnostics import verify_bounds
 from .operators import (
     Grid1D,
     ParamSet,
+    all_in_one_rhs,
     convection_diffusion_problem,
     default_addend_count,
     heat_parametrized_problem,
@@ -42,8 +47,6 @@ from .solver import (
     GmresConfig,
     OperatorChain,
     estimate_l2_norm,
-    relaxed_tt_gmres,
-    tt_gmres,
     tt_right_gmres,
 )
 from .tt import TTError
@@ -90,13 +93,19 @@ class ExperimentConfig:
             raise ConfigError(
                 f"experiment: unknown value {self.experiment!r}; pick one of "
                 + ", ".join(EXPERIMENTS))
+        spec = EXPERIMENTS[self.experiment]
         if self.n < 2:
             raise ConfigError("n: must be >= 2")
         if self.d != 3 and self.experiment != "poisson":
             raise ConfigError("d: only d=3 problem builders are available")
-        if EXPERIMENTS[self.experiment].stacked and self.p < 1:
+        if spec.stacked and self.p < 1:
             raise ConfigError(
                 f"p: required (>= 1) for experiment {self.experiment}")
+        # The bound report needs stacked slices; failing here saves the
+        # whole solve that would precede the error.
+        if self.bounds and not spec.stacked:
+            raise ConfigError(
+                f"bounds: experiment {self.experiment} stacks no systems")
         if self.experiment == "eigen-rhs" and self.j < 1:
             raise ConfigError("j: must be >= 1 for eigen-rhs")
         if self.format not in ("csv", "json"):
@@ -107,7 +116,27 @@ class ExperimentConfig:
             warnings.append(
                 "delta > epsilon: the rounding accuracy should be chosen "
                 "lower or equal than the GMRES target accuracy")
+        unread = self._unread_keys(spec)
+        for f in dataclasses.fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                warnings.append(f"{f.name}: not read by experiment "
+                                f"{self.experiment}; the value is ignored")
         return warnings
+
+    def _unread_keys(self, spec) -> set[str]:
+        """Keys that the run of this experiment never reads."""
+        # No builder reads d yet: every problem is 3-d.
+        unread = {"d", "j", "rank_cap"} - set(spec.reads)
+        if not spec.stacked:
+            unread.add("p")
+        if spec.full:
+            unread.add("m")
+        if not self.precondition:
+            unread |= {"q", "tau"}
+        if spec.run is not None:              # solves nothing
+            unread |= {"m", "epsilon", "delta", "maxit", "assembly_every",
+                       "plateau_window", "precondition", "q", "tau"}
+        return unread
 
     def gmres_config(self, **overrides) -> GmresConfig:
         """Solver settings of the run; a full-GMRES experiment restarts
@@ -184,31 +213,31 @@ def _trace_rows(trace):
                r.cr_last_vec, r.cr_basis, r.delta_used)
 
 
+def _write_table(prefix: Path, name: str, columns, rows, fmt: str,
+                 head: dict, rows_key: str = "rows") -> Path:
+    """Write `rows` to ``<prefix>_<name>.csv`` under a header of `columns`,
+    or to ``<prefix>_<name>.json``: the `head` entries, then the rows as
+    dicts keyed by column under `rows_key`."""
+    path = prefix.with_name(f"{prefix.name}_{name}.{fmt}")
+    with open(path, "w") as f:
+        if fmt == "csv":
+            f.write(",".join(columns) + "\n")
+            for row in rows:
+                f.write(",".join(_fmt(v) for v in row) + "\n")
+        else:
+            payload = {**head,
+                       rows_key: [dict(zip(columns, row)) for row in rows]}
+            json.dump(payload, f, indent=1, default=_json_float)
+    return path
+
+
 def emit_trace(outcome, report, prefix: Path, fmt: str) -> list[Path]:
     """Write the convergence trace (and bound report) next to `prefix`."""
-    written = []
-    if fmt == "csv":
-        path = prefix.with_name(prefix.name + "_trace.csv")
-        with open(path, "w") as f:
-            f.write(",".join(TRACE_COLUMNS) + "\n")
-            for row in _trace_rows(outcome.trace):
-                f.write(",".join(_fmt(v) for v in row) + "\n")
-        written.append(path)
-    else:
-        path = prefix.with_name(prefix.name + "_trace.json")
-        payload = {
-            "converged": outcome.converged,
-            "iterations": outcome.iterations,
-            "estimated_opnorm": outcome.estimated_opnorm,
-            "trace": [dict(zip(TRACE_COLUMNS, row))
-                      for row in _trace_rows(outcome.trace)],
-        }
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=1, default=_json_float)
-        written.append(path)
+    written = [_write_table(
+        prefix, "trace", TRACE_COLUMNS, _trace_rows(outcome.trace), fmt,
+        {"converged": outcome.converged, "iterations": outcome.iterations,
+         "estimated_opnorm": outcome.estimated_opnorm}, rows_key="trace")]
     if report is not None:
-        path = prefix.with_name(prefix.name + "_bounds."
-                                + ("csv" if fmt == "csv" else "json"))
         rows = []
         for k in range(report.iterations):
             for ell in range(report.p):
@@ -218,22 +247,12 @@ def emit_trace(outcome, report, prefix: Path, fmt: str) -> list[Path]:
                              report.rho_ell[k][ell],
                              report.rho_star[k],
                              report.psi_ell[k][ell]))
-        if fmt == "csv":
-            with open(path, "w") as f:
-                f.write(",".join(BOUND_COLUMNS) + "\n")
-                for row in rows:
-                    f.write(",".join(_fmt(v) for v in row) + "\n")
-        else:
-            payload = {
-                "ell_min": report.ell_min, "ell_max": report.ell_max,
-                "nu": report.nu, "k_star": report.k_star,
-                "selector": report.selector,
-                "violations": report.violations,
-                "rows": [dict(zip(BOUND_COLUMNS, row)) for row in rows],
-            }
-            with open(path, "w") as f:
-                json.dump(payload, f, indent=1, default=_json_float)
-        written.append(path)
+        written.append(_write_table(
+            prefix, "bounds", BOUND_COLUMNS, rows, fmt,
+            {"ell_min": report.ell_min, "ell_max": report.ell_max,
+             "nu": report.nu, "k_star": report.k_star,
+             "selector": report.selector,
+             "violations": report.violations}))
     return written
 
 
@@ -245,18 +264,28 @@ def _json_float(x):
     raise TypeError(f"not JSON serializable: {type(x)}")
 
 
-def _preconditioner(cfg: ExperimentConfig, g: Grid1D, p: int = 0):
+@contextlib.contextmanager
+def _phase(phases: dict, name: str):
+    """Add the wall time of the block to phases[name]."""
+    t0 = time.time()
+    yield
+    phases[name] = phases.get(name, 0.0) + time.time() - t0
+
+
+def _preconditioner(cfg: ExperimentConfig, g: Grid1D):
+    """The 3-d inverse-Laplacian preconditioner, or None."""
     if not cfg.precondition:
         return None
     q = cfg.q if cfg.q > 0 else default_addend_count(cfg.n)
-    m = inv_laplacian_preconditioner(3, g, q, cfg.tau)
-    if p > 0:
-        m = kron_leading_identity(p, m)
-    return m
+    return inv_laplacian_preconditioner(3, g, q, cfg.tau)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
-    """Build, solve, diagnose and write one experiment; returns the manifest."""
+    """Build, solve, diagnose and write one experiment; returns the manifest.
+
+    The manifest's "solves" maps each system's output suffix to whether
+    that solve converged.
+    """
     warnings = cfg.validate()
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -267,40 +296,43 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
     prefix = out_dir / cfg.output
     phases = {}
     files: list[Path] = []
+    solves = {}
     spec = EXPERIMENTS[cfg.experiment]
     g = Grid1D(cfg.n, *spec.interval)
 
     if spec.run is not None:
-        converged, extra = spec.run(cfg, g, prefix, phases)
-        files.extend(extra)
+        files.extend(spec.run(cfg, g, prefix, phases))
     else:
-        t0 = time.time()
-        instance = spec.build(cfg, g)
-        p = instance.rhs.modes[0] if spec.stacked else 0
-        precond = _preconditioner(cfg, g, p)
-        phases["build"] = time.time() - t0
+        with _phase(phases, "build"):
+            systems = spec.build(cfg, g)
+            precond = _preconditioner(cfg, g)
+        for suffix, operator, rhs, overrides in systems:
+            # A stacked system holds its copies along the leading mode; the
+            # 3-d preconditioner acts on each of them.
+            m = precond
+            if precond is not None and rhs.d > 3:
+                with _phase(phases, "build"):
+                    m = kron_leading_identity(rhs.modes[0], precond)
 
-        t0 = time.time()
-        gcfg = cfg.gmres_config(keep_iterates=cfg.bounds)
-        outcome = tt_right_gmres(instance.operator, precond, instance.rhs,
-                                 None, gcfg)
-        phases["solve"] = time.time() - t0
-        converged = outcome.converged
+            with _phase(phases, "solve"):
+                gcfg = cfg.gmres_config(keep_iterates=cfg.bounds,
+                                        **overrides)
+                outcome = tt_right_gmres(operator, m, rhs, None, gcfg)
+            solves[suffix] = outcome.converged
 
-        report = None
-        if cfg.bounds:
-            t0 = time.time()
-            chain = [instance.operator] if precond is None \
-                else [instance.operator, precond]
-            report = verify_bounds(OperatorChain(chain), instance.rhs,
-                                   outcome.iterates,
-                                   outcome.estimated_opnorm,
-                                   seed=cfg.seed)
-            phases["diagnose"] = time.time() - t0
+            report = None
+            if cfg.bounds:
+                with _phase(phases, "diagnose"):
+                    chain = [operator] if m is None else [operator, m]
+                    report = verify_bounds(OperatorChain(chain), rhs,
+                                           outcome.iterates,
+                                           outcome.estimated_opnorm,
+                                           seed=cfg.seed)
 
-        t0 = time.time()
-        files.extend(emit_trace(outcome, report, prefix, cfg.format))
-        phases["write"] = time.time() - t0
+            with _phase(phases, "write"):
+                files.extend(emit_trace(outcome, report,
+                                        prefix.with_name(prefix.name + suffix),
+                                        cfg.format))
 
     manifest = {
         "config": dataclasses.asdict(cfg),
@@ -309,7 +341,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "wall_clock": phases,
         "total_seconds": time.time() - t_start,
-        "converged": converged,
+        "converged": all(solves.values()) or not spec.judged,
+        "solves": solves,
         "files": [str(f) for f in files],
     }
     mpath = prefix.with_name(prefix.name + "_manifest.json")
@@ -323,87 +356,56 @@ def _run_prec_sweep(cfg: ExperimentConfig, g: Grid1D, prefix: Path, phases):
     """Preconditioner q/tau sweep: max TT-rank and sampled |A M|_2."""
     qs = (2, 8, 16, 32, 64)
     taus = (1e-2, 1e-8)
-    t0 = time.time()
+    with _phase(phases, "build"):
+        a = tt_laplacian(3, g, negate=True)
+        rows = []
+        for tau in taus:
+            for q in qs:
+                m = inv_laplacian_preconditioner(3, g, q, tau)
+                est = estimate_l2_norm(OperatorChain([a, m]), seed=cfg.seed)
+                rows.append((q, tau, m.max_rank, est))
+    with _phase(phases, "write"):
+        path = _write_table(prefix, "sweep",
+                            ("q", "tau", "max_rank", "opnorm_AM"), rows,
+                            cfg.format, {})
+    return [path]
+
+
+def _single(instance):
+    return [("", instance.operator, instance.rhs, {})]
+
+
+def _eigen_rhs_systems(cfg: ExperimentConfig, g: Grid1D):
+    """A single eigenvector rhs stacked with a sum of j of them, and the
+    slow (sum) system alone so the traces can be compared."""
     a = tt_laplacian(3, g, negate=True)
-    rows = []
-    for tau in taus:
-        for q in qs:
-            m = inv_laplacian_preconditioner(3, g, q, tau)
-            est = estimate_l2_norm(OperatorChain([a, m]), seed=cfg.seed)
-            rows.append((q, tau, m.max_rank, est))
-    phases["build"] = time.time() - t0
-    t0 = time.time()
-    path = prefix.with_name(prefix.name + "_sweep.csv")
-    with open(path, "w") as f:
-        f.write("q,tau,max_rank,opnorm_AM\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
-    phases["write"] = time.time() - t0
-    return True, [path]
-
-
-def _run_relaxed_compare(cfg: ExperimentConfig, g: Grid1D, prefix: Path,
-                         phases):
-    """Constant-delta control versus the relaxed policy on the same system."""
-    t0 = time.time()
-    instance = convection_diffusion_problem(g)
-    precond = _preconditioner(cfg, g)
-    chain = OperatorChain([instance.operator] if precond is None
-                          else [instance.operator, precond])
-    phases["build"] = time.time() - t0
-
-    t0 = time.time()
-    const_cfg = cfg.gmres_config(plateau_window=cfg.plateau_window or 4,
-                                 epsilon=1e-15)
-    constant = tt_gmres(chain, instance.rhs, const_cfg)
-    relaxed = relaxed_tt_gmres(chain, instance.rhs,
-                               cfg.gmres_config(epsilon=1e-15))
-    phases["solve"] = time.time() - t0
-
-    t0 = time.time()
-    files = []
-    for tag, outcome in (("constant", constant), ("relaxed", relaxed)):
-        sub = prefix.with_name(prefix.name + f"_{tag}")
-        files.extend(emit_trace(outcome, None, sub, cfg.format))
-    phases["write"] = time.time() - t0
-    return True, files
-
-
-def _run_eigen_rhs(cfg: ExperimentConfig, g: Grid1D, prefix: Path, phases):
-    """Two stacked systems: a single eigenvector rhs and a sum of j of them.
-
-    Also solves the slow (sum) system alone so the traces can be compared.
-    """
-    from .operators import all_in_one_rhs
-    t0 = time.time()
-    a0 = tt_laplacian(3, g, negate=True)
     fast = laplacian_eigen_rhs(g, [(1, 1, 1)])
     slow = laplacian_eigen_rhs(g, [(l, l, l) for l in range(2, cfg.j + 2)])
-    rhs = all_in_one_rhs([fast, slow])
-    a = kron_leading_identity(2, a0)
-    phases["build"] = time.time() - t0
+    return [("", kron_leading_identity(2, a), all_in_one_rhs([fast, slow]),
+             {}),
+            ("_slow", a, slow, {})]
 
-    t0 = time.time()
-    gcfg = cfg.gmres_config()
-    joint = tt_gmres(a, rhs, gcfg)
-    alone = tt_gmres(a0, slow, gcfg)
-    phases["solve"] = time.time() - t0
 
-    t0 = time.time()
-    files = list(emit_trace(joint, None, prefix, cfg.format))
-    files.extend(emit_trace(alone, None,
-                            prefix.with_name(prefix.name + "_slow"),
-                            cfg.format))
-    phases["write"] = time.time() - t0
-    return joint.converged and alone.converged, files
+def _relaxed_compare_systems(cfg: ExperimentConfig, g: Grid1D):
+    """Constant-delta control versus the relaxed policy on the same system,
+    both aimed below the rounding floor; a plateau stops the control."""
+    instance = convection_diffusion_problem(g)
+    return [("_constant", instance.operator, instance.rhs,
+             {"epsilon": 1e-15, "plateau_window": cfg.plateau_window or 4}),
+            ("_relaxed", instance.operator, instance.rhs,
+             {"epsilon": 1e-15, "rounding_policy": "relaxed"})]
 
 
 class _Experiment(NamedTuple):
     """One row of the experiment table.
 
-    ``build(cfg, grid)`` returns the problem that run_experiment solves with
-    the restarted driver; ``run(cfg, grid, prefix, phases)`` is a bespoke
-    runner that returns (converged, files) instead.
+    ``build(cfg, grid)`` returns the systems of the row, a list of
+    (output suffix, operator, rhs, solver overrides); run_experiment solves
+    each with the restarted driver, right-preconditioned when the config
+    asks for it, and writes its trace under the output name plus the
+    suffix.  ``run(cfg, grid, prefix, phases)`` serves a row that solves
+    nothing and returns the files it wrote.  A judged row succeeds when
+    every solve converged, an unjudged one once its solves ran.
     """
 
     interval: tuple[float, float]      # grid end points
@@ -411,38 +413,43 @@ class _Experiment(NamedTuple):
     build: Callable | None = None
     run: Callable | None = None
     full: bool = False                 # solves with full GMRES: m = maxit
+    judged: bool = True                # the exit code reports convergence
+    reads: tuple[str, ...] = ()        # row-specific keys: j, rank_cap
 
 
 _UNIT = (0.0, 1.0)
 _CENTRED = (-1.0, 1.0)
 
-# Builders are called through lambdas so that they are looked up by their
-# module-global names at call time, as run_experiment's own calls are.
+# Public builders are called through lambdas or helpers so that they are
+# looked up by their module-global names at call time, as run_experiment's
+# own calls are.
 EXPERIMENTS = {
     "poisson": _Experiment(
-        _UNIT, build=lambda cfg, g: poisson_problem(g)),
+        _UNIT, build=lambda cfg, g: _single(poisson_problem(g))),
     "convdiff": _Experiment(
-        _CENTRED, build=lambda cfg, g: convection_diffusion_problem(g)),
+        _CENTRED,
+        build=lambda cfg, g: _single(convection_diffusion_problem(g))),
     "param-convdiff": _Experiment(
         _CENTRED, stacked=True,
-        build=lambda cfg, g: parametric_convection_diffusion_problem(
-            g, ParamSet.log_spaced(cfg.p))),
+        build=lambda cfg, g: _single(parametric_convection_diffusion_problem(
+            g, ParamSet.log_spaced(cfg.p)))),
     "heat-param": _Experiment(
         _CENTRED, stacked=True,
-        build=lambda cfg, g: heat_parametrized_problem(
-            g, ParamSet.uniform(cfg.p))),
+        build=lambda cfg, g: _single(heat_parametrized_problem(
+            g, ParamSet.uniform(cfg.p)))),
     "multi-rhs-poisson": _Experiment(
-        _UNIT, stacked=True,
-        build=lambda cfg, g: multi_rhs_problem(
-            poisson_problem(g), cfg.p, cfg.rank_cap, cfg.seed)),
+        _UNIT, stacked=True, reads=("rank_cap",),
+        build=lambda cfg, g: _single(multi_rhs_problem(
+            poisson_problem(g), cfg.p, cfg.rank_cap, cfg.seed))),
     "multi-rhs-convdiff": _Experiment(
-        _CENTRED, stacked=True,
-        build=lambda cfg, g: multi_rhs_problem(
-            convection_diffusion_problem(g), cfg.p, cfg.rank_cap, cfg.seed)),
-    "eigen-rhs": _Experiment(_UNIT, run=_run_eigen_rhs, full=True),
+        _CENTRED, stacked=True, reads=("rank_cap",),
+        build=lambda cfg, g: _single(multi_rhs_problem(
+            convection_diffusion_problem(g), cfg.p, cfg.rank_cap, cfg.seed))),
+    "eigen-rhs": _Experiment(
+        _UNIT, build=_eigen_rhs_systems, full=True, reads=("j",)),
     "prec-sweep": _Experiment(_UNIT, run=_run_prec_sweep),
     "relaxed-compare": _Experiment(
-        _CENTRED, run=_run_relaxed_compare, full=True),
+        _CENTRED, build=_relaxed_compare_systems, full=True, judged=False),
 }
 
 

@@ -116,9 +116,7 @@ class ProblemInstance:
 
     operator: TTOperator
     rhs: TTVector
-    preconditioner: TTOperator | None = None
     analytic_solution: TTVector | None = None
-    label: str = ""
 
     def __post_init__(self):
         if self.operator.col_modes != self.rhs.modes:
@@ -212,8 +210,7 @@ def poisson_problem(g: Grid1D) -> ProblemInstance:
         tt_add(tt_rank_one([2 * ones, w, w]), tt_rank_one([2 * w, ones, w])),
         tt_rank_one([2 * w, w, ones]))
     exact = tt_rank_one([w, w, w])
-    return ProblemInstance(operator=op, rhs=rhs, analytic_solution=exact,
-                           label="poisson")
+    return ProblemInstance(operator=op, rhs=rhs, analytic_solution=exact)
 
 
 def _convdiff_terms(g: Grid1D):
@@ -248,8 +245,7 @@ def _convdiff_rhs(g: Grid1D, alpha: float = 1.0) -> TTVector:
 def convection_diffusion_problem(g: Grid1D) -> ProblemInstance:
     """3-d convection-diffusion on [-1, 1]^3 with u = 1 on the y = 1 face."""
     op = tt_add(tt_laplacian(3, g, negate=True), _convdiff_terms(g))
-    return ProblemInstance(operator=op, rhs=_convdiff_rhs(g),
-                           label="convdiff")
+    return ProblemInstance(operator=op, rhs=_convdiff_rhs(g))
 
 
 def _interface_diagonal(g: Grid1D, lo: float = -0.5, hi: float = 0.5):
@@ -452,7 +448,7 @@ def parametric_convection_diffusion_problem(
         c = _convdiff_rhs(g, alpha=alpha)
         parts.append(tt_scale(c, 1.0 / tt_norm(c)))
     rhs = all_in_one_rhs(parts, round_delta=1e-15)
-    return ProblemInstance(operator=op, rhs=rhs, label="param-convdiff")
+    return ProblemInstance(operator=op, rhs=rhs)
 
 
 def heat_parametrized_problem(g: Grid1D, params: ParamSet) -> ProblemInstance:
@@ -461,7 +457,7 @@ def heat_parametrized_problem(g: Grid1D, params: ParamSet) -> ProblemInstance:
     op = all_in_one_operator(b0, b1, params)
     ones_core = np.ones((1, params.p, 1))
     rhs = make_tt_vector([ones_core] + [np.array(k) for k in c.cores])
-    return ProblemInstance(operator=op, rhs=rhs, label="heat-param")
+    return ProblemInstance(operator=op, rhs=rhs)
 
 
 def multi_rhs_problem(base: ProblemInstance, p: int, rank_cap: int,
@@ -491,8 +487,7 @@ def multi_rhs_problem(base: ProblemInstance, p: int, rank_cap: int,
         first[0, ell, :] /= norms[ell]
     rhs = make_tt_vector([first] + [np.array(c) for c in rhs.cores[1:]])
     op = kron_leading_identity(p, base.operator)
-    return ProblemInstance(operator=op, rhs=rhs,
-                           label=f"multi-rhs-{base.label}")
+    return ProblemInstance(operator=op, rhs=rhs)
 
 
 def laplacian_eigen_rhs(g: Grid1D, indices) -> TTVector:

@@ -69,11 +69,10 @@ class GmresConfig:
     """Solver knobs; see the field comments for semantics."""
 
     m: int = 25                       # restart length (iterations per cycle)
-    epsilon: float = 1e-5             # convergence threshold on the criterion
+    epsilon: float = 1e-5             # threshold on eta_Ab (relaxed: eta~_b)
     delta: float = 1e-5               # rounding accuracy
     maxit: int = 100                  # global iteration cap
     rounding_policy: str = "constant"   # constant | relaxed
-    stopping_criterion: str = "eta_Ab"  # eta_Ab | eta_b | eta_tilde_b
     seed: int = 0                     # first sample of the norm estimate
     assembly_every: int = 1           # evaluate the iterate every c steps
     keep_iterates: bool = False       # retain assembled iterates in outcome
@@ -91,9 +90,6 @@ class GmresConfig:
             raise ValueError("maxit must be >= m")
         if self.rounding_policy not in ("constant", "relaxed"):
             raise ValueError(f"unknown rounding policy {self.rounding_policy}")
-        if self.stopping_criterion not in ("eta_Ab", "eta_b", "eta_tilde_b"):
-            raise ValueError(
-                f"unknown stopping criterion {self.stopping_criterion}")
 
 
 def _same(a, b) -> bool:
@@ -305,14 +301,6 @@ class _GlobalContext:
     bases: list = field(default_factory=list)
 
 
-def _criterion_value(cfg, eta_b, eta_ab, eta_tilde):
-    if cfg.stopping_criterion == "eta_b":
-        return eta_b
-    if cfg.stopping_criterion == "eta_tilde_b":
-        return eta_tilde
-    return eta_ab
-
-
 def _gmres_cycle(chain: OperatorChain, rhs: TTVector, cfg: GmresConfig,
                  ctx: _GlobalContext, cycle_len: int):
     """One Arnoldi expansion of at most cycle_len iterations (Alg. 3 body).
@@ -336,6 +324,7 @@ def _gmres_cycle(chain: OperatorChain, rhs: TTVector, cfg: GmresConfig,
     v = [tt_scale(rhs, 1.0 / beta_cycle)]
     lsq = GivensLsq(beta_cycle)
     lsq_res_prev = beta_cycle
+    relaxed = cfg.rounding_policy == "relaxed"
     t_best = None
     eta_hist = []
     converged = False
@@ -347,7 +336,7 @@ def _gmres_cycle(chain: OperatorChain, rhs: TTVector, cfg: GmresConfig,
         # Relaxed policy: every rounding of iteration k is loosened to
         # delta_k, scaled by the inverse least-squares residual norm, so
         # the perturbation grows as the projected residual shrinks.
-        if cfg.rounding_policy == "relaxed":
+        if relaxed:
             delta_k = min(1.0, cfg.delta / max(lsq_res_prev, 1e-300))
         else:
             delta_k = cfg.delta
@@ -377,8 +366,7 @@ def _gmres_cycle(chain: OperatorChain, rhs: TTVector, cfg: GmresConfig,
 
         assemble = breakdown or k == cycle_len \
             or (k % cfg.assembly_every == 0) \
-            or (cfg.stopping_criterion == "eta_tilde_b"
-                and eta_tilde < cfg.epsilon)
+            or (relaxed and eta_tilde < cfg.epsilon)
         eta_b = eta_ab = true_res = float("nan")
         max_rank_x = float("nan")
         if assemble:
@@ -415,7 +403,9 @@ def _gmres_cycle(chain: OperatorChain, rhs: TTVector, cfg: GmresConfig,
         )
         ctx.records.append(rec)
 
-        crit = _criterion_value(cfg, eta_b, eta_ab, eta_tilde)
+        # The relaxed policy stops on the least-squares residual, which
+        # needs no assembled iterate; the constant one on eta_Ab.
+        crit = eta_tilde if relaxed else eta_ab
         if not math.isnan(crit):
             eta_hist.append(crit)
             if crit < cfg.epsilon:
@@ -461,9 +451,7 @@ def relaxed_tt_gmres(a, b: TTVector, cfg: GmresConfig) -> GmresOutcome:
     step, and the stabilization roundings at ``delta_k / (4 k)``; the
     stopping test is on the scaled least-squares residual eta_tilde_b.
     """
-    cfg = replace(cfg, rounding_policy="relaxed",
-                  stopping_criterion="eta_tilde_b")
-    return tt_gmres(a, b, cfg)
+    return tt_gmres(a, b, replace(cfg, rounding_policy="relaxed"))
 
 
 def tt_right_gmres(a, m: TTOperator | None, b: TTVector,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,8 +6,14 @@ import pytest
 
 from ttkrylov import cli
 from ttkrylov.cli import (EXPERIMENTS, TRACE_COLUMNS, ConfigError,
-                          ExperimentConfig, build_config, main,
+                          ExperimentConfig, build_config, emit_trace, main,
                           parse_config_text, presets_dir)
+from ttkrylov.operators import (Grid1D, all_in_one_rhs,
+                                convection_diffusion_problem,
+                                inv_laplacian_preconditioner,
+                                kron_leading_identity, laplacian_eigen_rhs,
+                                tt_laplacian)
+from ttkrylov.solver import OperatorChain, relaxed_tt_gmres, tt_gmres
 
 
 def test_gmres_config_error_is_config_error():
@@ -43,7 +50,7 @@ def load_preset(name):
 def test_presets_validate(preset):
     cfg = load_preset(preset)
     assert cfg.experiment in EXPERIMENTS
-    cfg.validate()
+    assert cfg.validate() == []
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
@@ -66,16 +73,128 @@ def test_smoke_every_experiment(experiment, tmp_path, capsys):
         assert tuple(header.split(",")) == TRACE_COLUMNS
 
 
-def test_solver_fields_checked_before_build(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def builder_calls(monkeypatch):
+    """Replace every problem builder by a stub; returns the names called."""
     called = []
     for name in BUILDERS:
         monkeypatch.setattr(cli, name,
                             lambda *a, _name=name, **k: called.append(_name))
+    return called
+
+
+def test_solver_fields_checked_before_build(tmp_path, builder_calls, capsys):
     code = main(["run", "convdiff_n63", "--set", "n=127", "--set", "maxit=10",
                  "--output", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err.strip() == "error: maxit must be >= m"
-    assert called == []
+    assert builder_calls == []
+
+
+@pytest.mark.parametrize("preset", ["poisson_n63", "eigen_rhs_n31_j10",
+                                    "relaxed_compare_n63", "prec_sweep_n63"])
+def test_bounds_rejected_before_build_unless_stacked(preset, tmp_path,
+                                                      builder_calls, capsys):
+    code = main(["run", preset, "--set", "bounds=1",
+                 "--output", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.strip().startswith("error: bounds:")
+    assert builder_calls == []
+
+
+@pytest.mark.parametrize("preset,key,value", [
+    ("poisson_n63", "p", 2),
+    ("poisson_n63", "d", 4),
+    ("poisson_n63", "q", 4),
+    ("poisson_n63", "tau", 0.1),
+    ("param_convdiff_n15_p5", "j", 3),
+    ("eigen_rhs_n31_j10", "rank_cap", 4),
+    ("eigen_rhs_n31_j10", "m", 10),
+    ("relaxed_compare_n63", "m", 10),
+    ("prec_sweep_n63", "delta", 1e-6),
+    ("prec_sweep_n63", "maxit", 50),
+    ("prec_sweep_n63", "precondition", True),
+    ("prec_sweep_n63", "q", 4),
+])
+def test_unread_key_warns(preset, key, value):
+    cfg = dataclasses.replace(load_preset(preset), **{key: value})
+    assert [w.split(":")[0] for w in cfg.validate()] == [key]
+
+
+@pytest.mark.parametrize("preset,key,value", [
+    ("param_convdiff_n15_p5", "p", 3),
+    ("eigen_rhs_n31_j10", "j", 3),
+    ("multi_rhs_poisson_n63_p20", "rank_cap", 4),
+    ("convdiff_n63", "q", 4),
+    ("poisson_n63", "m", 10),
+    ("relaxed_compare_n63", "plateau_window", 6),
+    ("prec_sweep_n63", "seed", 3),
+])
+def test_read_key_does_not_warn(preset, key, value):
+    cfg = dataclasses.replace(load_preset(preset), **{key: value})
+    assert cfg.validate() == []
+
+
+def _direct_traces(out_dir, outcomes):
+    out_dir.mkdir()
+    for name, outcome in outcomes.items():
+        emit_trace(outcome, None, out_dir / name, "csv")
+    return {name: (out_dir / f"{name}_trace.csv").read_bytes()
+            for name in outcomes}
+
+
+def test_eigen_rhs_traces_match_direct_solves(tmp_path):
+    code = main(["run", "eigen_rhs_n31_j10", "--set", "n=7", "--set", "j=3",
+                 "--output", str(tmp_path)])
+    assert code == 0
+    cfg = dataclasses.replace(load_preset("eigen_rhs_n31_j10"), n=7, j=3)
+    g = Grid1D(7, 0.0, 1.0)
+    a = tt_laplacian(3, g, negate=True)
+    fast = laplacian_eigen_rhs(g, [(1, 1, 1)])
+    slow = laplacian_eigen_rhs(g, [(2, 2, 2), (3, 3, 3), (4, 4, 4)])
+    direct = _direct_traces(tmp_path / "direct", {
+        "eigen_rhs_n31_j10": tt_gmres(kron_leading_identity(2, a),
+                                      all_in_one_rhs([fast, slow]),
+                                      cfg.gmres_config()),
+        "eigen_rhs_n31_j10_slow": tt_gmres(a, slow, cfg.gmres_config())})
+    for name, trace in direct.items():
+        assert (tmp_path / f"{name}_trace.csv").read_bytes() == trace
+
+
+def test_relaxed_compare_traces_match_direct_solves(tmp_path):
+    code = main(["run", "relaxed_compare_n63", "--set", "n=7",
+                 "--set", "q=2", "--output", str(tmp_path)])
+    manifest = json.loads(
+        (tmp_path / "relaxed_compare_n63_manifest.json").read_text())
+    # Neither solve reaches epsilon = 1e-15, and the row is not judged.
+    assert manifest["solves"] == {"_constant": False, "_relaxed": False}
+    assert code == 0
+    cfg = dataclasses.replace(load_preset("relaxed_compare_n63"), n=7, q=2)
+    g = Grid1D(7, -1.0, 1.0)
+    problem = convection_diffusion_problem(g)
+    chain = OperatorChain([problem.operator,
+                           inv_laplacian_preconditioner(3, g, 2, cfg.tau)])
+    direct = _direct_traces(tmp_path / "direct", {
+        "relaxed_compare_n63_constant": tt_gmres(
+            chain, problem.rhs,
+            cfg.gmres_config(epsilon=1e-15, plateau_window=4)),
+        "relaxed_compare_n63_relaxed": relaxed_tt_gmres(
+            chain, problem.rhs, cfg.gmres_config(epsilon=1e-15))})
+    for name, trace in direct.items():
+        assert (tmp_path / f"{name}_trace.csv").read_bytes() == trace
+
+
+def test_prec_sweep_honours_json_format(tmp_path):
+    code = main(["run", "prec_sweep_n63", "--set", "n=7", "--format", "json",
+                 "--output", str(tmp_path)])
+    assert code == 0
+    path = tmp_path / "prec_sweep_n63_sweep.json"
+    manifest = json.loads(
+        (tmp_path / "prec_sweep_n63_manifest.json").read_text())
+    assert manifest["files"] == [str(path)]
+    rows = json.loads(path.read_text())["rows"]
+    assert len(rows) == 10
+    assert set(rows[0]) == {"q", "tau", "max_rank", "opnorm_AM"}
 
 
 @pytest.mark.parametrize("experiment", ["eigen-rhs", "relaxed-compare"])
