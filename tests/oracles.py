@@ -1,6 +1,9 @@
-"""Brute-force dense oracles, independent of the package's contraction code."""
+"""Brute-force dense oracles, independent of the package's contraction code,
+and reference constructions that the package's faster builders replaced."""
 
 import numpy as np
+
+from ttkrylov import make_tt_operator, tt_round
 
 
 def dense_from_cores(cores):
@@ -95,3 +98,33 @@ def dense_mgs_gmres(a, b, maxit):
         y, *_ = np.linalg.lstsq(h[:k + 1, :k], e1, rcond=None)
         iterates.append(sum(y[j] * v[j] for j in range(k)))
     return iterates
+
+
+def fused_mode_preconditioner(d, g, q, tau):
+    """Exponential-sum inverse Laplacian rounded as an operator, d >= 2.
+
+    The reference construction: the 2q+1 Kronecker terms c_k E_k x ... x E_k
+    are summed exactly into cores with fused n^2 modes and rounded once at
+    tau, so the rounding sees the operator itself, not its spectra.
+    """
+    n = g.n
+    j = np.arange(1, n + 1)
+    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
+    mu = (2.0 - 2.0 * np.cos(j * np.pi / (n + 1))) / g.h**2
+    xi = np.pi / np.sqrt(q)
+    terms = [(xi * np.exp(k * xi), (s * np.exp(-np.exp(k * xi) * mu)) @ s.T)
+             for k in range(-q, q + 1)]
+    cores = []
+    for mode in range(d):
+        a = 1 if mode == 0 else len(terms)
+        b = 1 if mode == d - 1 else len(terms)
+        core = np.zeros((a, n, n, b))
+        for t, (c, e) in enumerate(terms):
+            if mode == 0:
+                core[0, :, :, t] = c * e
+            elif mode == d - 1:
+                core[t, :, :, 0] = e
+            else:
+                core[t, :, :, t] = e
+        cores.append(core)
+    return tt_round(make_tt_operator(cores), tau)

@@ -22,6 +22,11 @@ def test_gmres_config_error_is_config_error():
         cfg.gmres_config()
 
 
+def test_malloc_thresholds_skipped_without_mallopt(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    cli._raise_malloc_thresholds()
+
+
 def test_invalid_solver_settings_exit_2(tmp_path, capsys):
     code = main(["run", "param_convdiff_n15_p5", "--set", "maxit=10",
                  "--output", str(tmp_path)])
@@ -133,6 +138,16 @@ def test_unread_key_warns(preset, key, value):
 def test_read_key_does_not_warn(preset, key, value):
     cfg = dataclasses.replace(load_preset(preset), **{key: value})
     assert cfg.validate() == []
+
+
+def test_run_row_warns_on_solver_keys_instead_of_failing(tmp_path, capsys):
+    # maxit=10 < m would fail GmresConfig, but prec-sweep never builds one.
+    code = main(["run", "prec_sweep_n63", "--set", "n=7", "--set", "maxit=10",
+                 "--output", str(tmp_path)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 0
+    assert err == ["warning: maxit: not read by experiment prec-sweep; "
+                   "the value is ignored"]
 
 
 def _direct_traces(out_dir, outcomes):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ttkrylov import (
+    make_tt_vector,
     tt_add,
     tt_apply,
     tt_norm,
@@ -34,7 +35,7 @@ from ttkrylov.operators import (
 )
 from ttkrylov.tt import tt_random, tt_rank_one
 
-from oracles import kron_sum
+from oracles import fused_mode_preconditioner, kron_chain, kron_sum
 
 rng = np.random.default_rng(7)
 
@@ -248,6 +249,39 @@ class TestPreconditioner:
                          [np.eye(10), -laplacian_1d(g)]])
         prod = lap2 @ tt_op_to_dense(m)
         assert np.linalg.norm(prod - np.eye(100), 2) < 0.05
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_dense_exponential_sum(self, d):
+        g = Grid1D(7, 0.0, 1.0)
+        q = 3
+        lam, vec = np.linalg.eigh(-laplacian_1d(g))
+        xi = np.pi / np.sqrt(q)
+        ref = 0.0
+        for k in range(-q, q + 1):
+            t_k = np.exp(k * xi)
+            e_k = (vec * np.exp(-t_k * lam)) @ vec.T
+            ref = ref + xi * t_k * kron_chain([e_k] * d)
+        got = tt_op_to_dense(inv_laplacian_preconditioner(d, g, q, 0.0))
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("tau", [1e-2, 1e-8])
+    def test_matches_fused_mode_rounding(self, d, tau):
+        # Rounding the spectra must give the ranks and the operator that
+        # rounding the n^2-mode operator gives.  The dense forms (up to
+        # 3375^2 entries) are compared through their fused-mode TT
+        # difference, whose norm is the Frobenius norm of the dense one.
+        g = Grid1D(15, 0.0, 1.0)
+        got = inv_laplacian_preconditioner(d, g, 4, tau)
+        ref = fused_mode_preconditioner(d, g, 4, tau)
+        assert got.ranks == ref.ranks
+
+        def fused(op):
+            return make_tt_vector([c.reshape(c.shape[0], -1, c.shape[3])
+                                   for c in op.cores])
+
+        diff = tt_add(fused(got), tt_scale(fused(ref), -1.0))
+        assert tt_norm(diff) <= 1e-12 * tt_norm(fused(ref))
 
 
 class TestAllInOne:
