@@ -29,8 +29,6 @@ from .tt import (
     tt_slice_first_mode,
     tt_op_diag_slice,
     storage_stats,
-    tt_dump,
-    tt_load,
 )
 
 __version__ = "0.1.0"

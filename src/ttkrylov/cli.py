@@ -52,6 +52,7 @@ from .solver import (
 )
 from .tt import TTError
 
+#: IterationRecord's fields in order, with k written as iter
 TRACE_COLUMNS = ("iter", "eta_b", "eta_Ab", "eta_AMb", "eta_tilde_b",
                  "lsq_residual", "true_residual", "max_rank_v", "max_rank_x",
                  "cr_last_vec", "cr_basis", "delta_used")
@@ -238,13 +239,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _trace_rows(trace):
-    for r in trace:
-        yield (r.k, r.eta_b, r.eta_Ab, r.eta_AMb, r.eta_tilde_b,
-               r.lsq_residual, r.true_residual, r.max_rank_v, r.max_rank_x,
-               r.cr_last_vec, r.cr_basis, r.delta_used)
-
-
 def _write_table(prefix: Path, name: str, columns, rows, fmt: str,
                  head: dict, rows_key: str = "rows") -> Path:
     """Write `rows` to ``<prefix>_<name>.csv`` under a header of `columns`,
@@ -266,7 +260,8 @@ def _write_table(prefix: Path, name: str, columns, rows, fmt: str,
 def emit_trace(outcome, report, prefix: Path, fmt: str) -> list[Path]:
     """Write the convergence trace (and bound report) next to `prefix`."""
     written = [_write_table(
-        prefix, "trace", TRACE_COLUMNS, _trace_rows(outcome.trace), fmt,
+        prefix, "trace", TRACE_COLUMNS,
+        map(dataclasses.astuple, outcome.trace), fmt,
         {"converged": outcome.converged, "iterations": outcome.iterations,
          "estimated_opnorm": outcome.estimated_opnorm}, rows_key="trace")]
     if report is not None:
@@ -349,7 +344,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
             with _phase(phases, "solve"):
                 gcfg = cfg.gmres_config(keep_iterates=cfg.bounds,
                                         **overrides)
-                outcome = tt_right_gmres(operator, m, rhs, None, gcfg)
+                outcome = tt_right_gmres(operator, m, rhs, gcfg)
             solves[suffix] = outcome.converged
 
             report = None

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import (OperatorChain, WORKING_PRECISION, _as_chain,
+from .solver import (NORM_SAMPLES, WORKING_PRECISION, BackwardErrors,
+                     OperatorChain, _as_chain, backward_errors,
                      estimate_l2_norm)
 from .tt import (
     TTVector,
@@ -45,14 +46,8 @@ __all__ = [
     "verify_bounds",
 ]
 
-
-@dataclass(frozen=True)
-class BackwardErrors:
-    """Normwise backward errors of one iterate on one system."""
-
-    eta_b: float
-    eta_Ab: float
-    residual_norm: float
+#: absolute floating-point slack of the bound inequalities
+BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -107,30 +102,6 @@ class BoundReport:
     selector: str = "upsilon"
 
 
-def backward_errors(a, x: TTVector, b: TTVector,
-                    opnorm: float) -> BackwardErrors:
-    """eta_b and eta_Ab of the iterate x for A x = b.
-
-    `a` is an operator or a chain; for a chain ending in a preconditioner,
-    x is the preconditioned iterate t and `opnorm` estimates |A M|.  The
-    residual is computed in TT arithmetic without rounding beyond working
-    precision.
-    """
-    if opnorm <= 0:
-        raise ValueError("opnorm must be > 0")
-    bnorm = tt_norm(b)
-    if bnorm == 0:
-        raise ValueError("rhs has zero norm")
-    z = tt_add(_as_chain(a).apply(x, delta=WORKING_PRECISION),
-               tt_scale(b, -1.0))
-    rnorm = tt_norm(z)
-    return BackwardErrors(
-        eta_b=rnorm / bnorm,
-        eta_Ab=rnorm / (opnorm * tt_norm(x) + bnorm),
-        residual_norm=rnorm,
-    )
-
-
 def _slice_chain(chain: OperatorChain, ell: int) -> OperatorChain:
     return OperatorChain([tt_op_diag_slice(f, ell) for f in chain.factors])
 
@@ -171,8 +142,7 @@ def _detect_k_star(ax_norm_hist: np.ndarray, window: int = 3,
 
 def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
                   opnorm_Ainv: float | None = None,
-                  norm_samples: int = 10, seed: int = 0,
-                  slack: float = 1e-12) -> BoundReport:
+                  seed: int = 0) -> BoundReport:
     """Evaluate the per-slice backward-error bounds along a solve.
 
     `a` is the all-in-one operator or chain (operator + preconditioner);
@@ -185,7 +155,7 @@ def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
       * eta_Ab * psi_l  >= eta_Ab_l  (joint-norm variant when slices differ)
       * eta_Ab * rho*   >= eta_Ab_l  for k >= k*, with nu from the trace
 
-    Violations beyond `slack` are recorded, never raised.
+    Violations beyond BOUND_SLACK are recorded, never raised.
     """
     chain = _as_chain(a)
     p = b.modes[0]
@@ -199,7 +169,7 @@ def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
     sub_chains = [_slice_chain(chain, ell) for ell in range(1, p + 1)]
     slices_equal = _slices_equal(sub_chains)
     # Sampled slice norms, sharpened with every iterate's Rayleigh quotient.
-    slice_est = [estimate_l2_norm(sc, norm_samples, seed)
+    slice_est = [estimate_l2_norm(sc, NORM_SAMPLES, seed)
                  for sc in sub_chains]
 
     eta_b = np.zeros(n_it)
@@ -253,19 +223,19 @@ def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
                 slice_est[ell] * x_slice_norm[k, ell] + b_slice_norms[ell])
             eta_ab_sl_joint[k, ell] = res_slice[k, ell] / (
                 opnorm_A * x_slice_norm[k, ell] + b_slice_norms[ell])
-            if eta_b[k] * sp + slack < eta_b_sl[k, ell]:
+            if eta_b[k] * sp + BOUND_SLACK < eta_b_sl[k, ell]:
                 violations.append((k, ell, "prop1"))
-            if eta_ab[k] * rho[k, ell] + slack < eta_ab_sl[k, ell]:
+            if eta_ab[k] * rho[k, ell] + BOUND_SLACK < eta_ab_sl[k, ell]:
                 violations.append((k, ell, "prop2"))
             psi_target = eta_ab_sl[k, ell] if slices_equal \
                 else eta_ab_sl_joint[k, ell]
-            if eta_ab[k] * psi[k, ell] + slack < psi_target:
+            if eta_ab[k] * psi[k, ell] + BOUND_SLACK < psi_target:
                 violations.append((k, ell, "prop3"))
             if nu_valid and k >= k_star and \
-                    eta_ab[k] * rho_star[k] + slack < eta_ab_sl[k, ell]:
+                    eta_ab[k] * rho_star[k] + BOUND_SLACK < eta_ab_sl[k, ell]:
                 violations.append((k, ell, "cor_rho_star"))
             if nu_valid and rho_dagger is not None and k >= k_star and \
-                    eta_ab[k] * rho_dagger + slack < eta_ab_sl[k, ell]:
+                    eta_ab[k] * rho_dagger + BOUND_SLACK < eta_ab_sl[k, ell]:
                 violations.append((k, ell, "cor_rho_dagger"))
 
     upsilon = np.linalg.norm(rho, axis=0)

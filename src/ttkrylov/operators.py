@@ -17,7 +17,6 @@ from .tt import (
     TTError,
     make_tt_operator,
     tt_add,
-    tt_identity_operator,
     tt_norm,
     tt_op_from_factors,
     tt_random,
@@ -82,10 +81,9 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class ParamSet:
-    """Discrete parameter values with their sampling law."""
+    """Discrete parameter values and the range they are drawn from."""
 
     values: tuple[float, ...]
-    distribution: str
     range: tuple[float, float]
 
     def __post_init__(self):
@@ -103,11 +101,11 @@ class ParamSet:
 
     @staticmethod
     def log_spaced(p: int, lo: float = 1.0, hi: float = 10.0) -> "ParamSet":
-        return ParamSet(tuple(np.geomspace(lo, hi, p)), "log", (lo, hi))
+        return ParamSet(tuple(np.geomspace(lo, hi, p)), (lo, hi))
 
     @staticmethod
     def uniform(p: int, lo: float = 0.0, hi: float = 10.0) -> "ParamSet":
-        return ParamSet(tuple(np.linspace(lo, hi, p)), "uniform", (lo, hi))
+        return ParamSet(tuple(np.linspace(lo, hi, p)), (lo, hi))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,14 @@ and when the iterate is assembled.  The constant policy keeps
 delta_k = delta; the relaxed policy loosens every one of these roundings to
 delta_k = min(1, delta / |r~_{k-1}|), with |r~_{k-1}| the least-squares
 residual norm of the previous iteration (the cycle's rhs norm at k = 1).
-Every iteration is logged as an IterationRecord; convergence is judged on a
-normwise backward error.
+
+The driver keeps one iterate u, in the variable the chain A M acts on:
+each cycle solves A M t = r for r = round(b - A M u, delta), then
+u = round(u + t, delta), and the solution is x = round(M u, delta), formed
+once at the end.  Every iteration is logged as an IterationRecord; its eta
+is the normwise backward error, from backward_errors, of the assembled
+iterate u + t on the whole system A M (u + t) = b, and convergence is
+judged on it.
 
 To keep intermediate bond ranks bounded on long cycles, the MGS subtraction
 loop and the iterate accumulation apply stabilization roundings at
@@ -44,6 +50,8 @@ __all__ = [
     "IterationRecord",
     "GmresOutcome",
     "OperatorChain",
+    "BackwardErrors",
+    "backward_errors",
     "hessenberg_lsq",
     "estimate_l2_norm",
     "tt_gmres",
@@ -264,14 +272,14 @@ def hessenberg_lsq(hbar: np.ndarray, beta: float):
     return lsq.solve(), lsq.residual
 
 
-def estimate_l2_norm(op, samples: int = NORM_SAMPLES, seed: int = 0,
-                     sample_rank: int = SAMPLE_RANK) -> float:
+def estimate_l2_norm(op, samples: int = NORM_SAMPLES,
+                     seed: int = 0) -> float:
     """Sampled L2 norm: max image norm over random unit TT vectors."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     chain = _as_chain(op)
     modes = chain.col_modes
-    ranks = (1,) + (sample_rank,) * (len(modes) - 1) + (1,)
+    ranks = (1,) + (SAMPLE_RANK,) * (len(modes) - 1) + (1,)
     best = 0.0
     for i in range(samples):
         w = tt_random(modes, ranks, seed + i)
@@ -279,65 +287,86 @@ def estimate_l2_norm(op, samples: int = NORM_SAMPLES, seed: int = 0,
     return best
 
 
+@dataclass(frozen=True)
+class BackwardErrors:
+    """Normwise backward errors of one iterate on one system."""
+
+    eta_b: float
+    eta_Ab: float
+    residual_norm: float
+
+
+def backward_errors(a, x: TTVector, b: TTVector,
+                    opnorm: float) -> BackwardErrors:
+    """eta_b and eta_Ab of the iterate x for A x = b.
+
+    `a` is an operator or a chain; for a chain ending in a preconditioner,
+    x is the preconditioned iterate and `opnorm` estimates |A M|.  The
+    residual b - A x is computed in TT arithmetic without rounding beyond
+    working precision.
+    """
+    if opnorm < 0:
+        raise ValueError("opnorm must be >= 0")
+    bnorm = tt_norm(b)
+    if bnorm == 0:
+        raise ValueError("rhs has zero norm")
+    z = tt_add(b, tt_scale(
+        _as_chain(a).apply(x, delta=WORKING_PRECISION), -1.0))
+    rnorm = tt_norm(z)
+    return BackwardErrors(
+        eta_b=rnorm / bnorm,
+        eta_Ab=rnorm / (opnorm * tt_norm(x) + bnorm),
+        residual_norm=rnorm,
+    )
+
+
 def _accumulate(vecs, coeffs, stab_delta: float, final_delta: float):
-    """round(sum_j coeffs[j] vecs[j], final_delta) with bounded intermediates."""
+    """round(sum_j coeffs[j] vecs[j], final_delta) with bounded
+    intermediates; the zero vector when there are no coefficients."""
+    if not len(coeffs):
+        return tt_zero(vecs[0].modes)
     acc = tt_scale(vecs[0], coeffs[0])
     for v, c in zip(vecs[1:], coeffs[1:]):
         acc = tt_round(tt_add(acc, tt_scale(v, c)), stab_delta)
     return tt_round(acc, final_delta)
 
 
-@dataclass
-class _GlobalContext:
-    """State shared across restart cycles so traces stay globally meaningful."""
+def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
+                 u: TTVector | None, r: TTVector, r_norm: float,
+                 cfg: GmresConfig, out: GmresOutcome):
+    """One Arnoldi expansion on chain t = r, where r = b - chain u has norm
+    r_norm and beta = |b| (Alg. 3 body).
 
-    beta: float                     # |b| of the original system
-    opnorm: float                   # estimated |A|_2 (or |AM|_2)
-    preconditioned: bool
-    offset_t: TTVector | None = None  # accumulated iterate from past cycles
-    iter_offset: int = 0
-    records: list = field(default_factory=list)
-    iterates: list = field(default_factory=list)
-    bases: list = field(default_factory=list)
+    Runs at most cfg.m iterations, and no more than cfg.maxit in total, and
+    appends each iteration's record to `out` (with cfg.keep_iterates, each
+    assembled iterate u + t too).  Returns (t, stop): t is the least-squares
+    update of the last iteration, assembled on exit if that iteration was
+    not, and stop is None (restart), "converged", "plateaued" or
+    "stagnated".
 
-
-def _gmres_cycle(chain: OperatorChain, rhs: TTVector, cfg: GmresConfig,
-                 ctx: _GlobalContext, cycle_len: int):
-    """One Arnoldi expansion of at most cycle_len iterations (Alg. 3 body).
-
-    Returns (t, converged, iterations, plateaued, hard_breakdown); t is the
-    last assembled iterate of this cycle (in the preconditioned variable when
-    the chain has a preconditioner factor).
-
-    A breakdown (h_{k+1,k} below BREAKDOWN_TOL * beta) is lucky when the
+    A breakdown (h_{k+1,k} below BREAKDOWN_TOL * r_norm) is lucky when the
     rotated diagonal r_kk stays above BREAKDOWN_TOL times the norm of
     column k: the least-squares problem is then solved exactly.  Otherwise
     it is hard: A is singular on the Krylov space and the system is
-    inconsistent there (Brown & Walker, SIMAX 1997), so column k is dropped
-    and the iterate is the least-squares solution over the leading k - 1
-    columns.
+    inconsistent there (Brown & Walker, SIMAX 1997), so column k is dropped,
+    the update is the least-squares solution over the leading k - 1
+    columns, and the cycle stops "stagnated".
     """
-    beta_cycle = tt_norm(rhs)
-    dense_entries = storage_stats(rhs).dense_entries
-    if beta_cycle == 0.0:
-        return tt_zero(rhs.modes), True, 0, False, False
-    v = [tt_scale(rhs, 1.0 / beta_cycle)]
-    lsq = GivensLsq(beta_cycle)
-    lsq_res_prev = beta_cycle
+    cycle_len = min(cfg.m, cfg.maxit - out.iterations)
+    dense_entries = storage_stats(r).dense_entries
+    preconditioned = len(chain.factors) > 1
     relaxed = cfg.rounding_policy == "relaxed"
-    t_best = None
+    v = [tt_scale(r, 1.0 / r_norm)]
+    lsq = GivensLsq(r_norm)
     eta_hist = []
-    converged = False
-    plateaued = False
-    hard_breakdown = False
-    iters_done = 0
+    stop = None
 
     for k in range(1, cycle_len + 1):
         # Relaxed policy: every rounding of iteration k is loosened to
-        # delta_k, scaled by the inverse least-squares residual norm, so
-        # the perturbation grows as the projected residual shrinks.
+        # delta_k, scaled by the inverse least-squares residual norm of the
+        # previous iteration, so the perturbation grows as it shrinks.
         if relaxed:
-            delta_k = min(1.0, cfg.delta / max(lsq_res_prev, 1e-300))
+            delta_k = min(1.0, cfg.delta / max(lsq.residual, 1e-300))
         else:
             delta_k = cfg.delta
         # k stabilization roundings this iteration, each at delta_k/(4k),
@@ -352,84 +381,70 @@ def _gmres_cycle(chain: OperatorChain, rhs: TTVector, cfg: GmresConfig,
         w = tt_round(w, delta_k)
         h_last = tt_norm(w)
         col[k] = h_last
-        breakdown = h_last < BREAKDOWN_TOL * beta_cycle
+        breakdown = h_last < BREAKDOWN_TOL * r_norm
         if not breakdown:
             v.append(tt_scale(w, 1.0 / h_last))
         lsq.append_column(col)
-        if breakdown and abs(lsq.r_cols[-1][-1]) <= \
-                BREAKDOWN_TOL * np.linalg.norm(col):
-            hard_breakdown = True
+        hard = breakdown and abs(lsq.r_cols[-1][-1]) <= \
+            BREAKDOWN_TOL * np.linalg.norm(col)
+        if hard:
             lsq.pop_column()
-        eta_tilde = lsq.residual / ctx.beta
-        lsq_res_prev = lsq.residual
-        iters_done = k
+        eta_tilde = lsq.residual / beta
+        out.iterations += 1
 
         assemble = breakdown or k == cycle_len \
             or (k % cfg.assembly_every == 0) \
             or (relaxed and eta_tilde < cfg.epsilon)
-        eta_b = eta_ab = true_res = float("nan")
-        max_rank_x = float("nan")
+        t = None
+        eta = BackwardErrors(math.nan, math.nan, math.nan)
         if assemble:
-            y = lsq.solve()
-            # y is empty only when A v_1 = 0: the rhs lies in A's null space
-            t_best = _accumulate(v[:len(y)], y, stab, delta_k) if len(y) \
-                else tt_zero(rhs.modes)
-            z = tt_add(rhs, tt_scale(
-                chain.apply(t_best, delta=WORKING_PRECISION), -1.0))
-            true_res = tt_norm(z)
-            t_glob = t_best if ctx.offset_t is None else \
-                tt_add(ctx.offset_t, t_best)
-            eta_b = true_res / ctx.beta
-            eta_ab = true_res / (ctx.opnorm * tt_norm(t_glob) + ctx.beta)
-            max_rank_x = t_best.max_rank
+            t = _accumulate(v, lsq.solve(), stab, delta_k)
+            x = t if u is None else tt_add(u, t)
+            eta = backward_errors(chain, x, b, out.estimated_opnorm)
             if cfg.keep_iterates:
-                ctx.iterates.append(t_glob)
+                out.iterates.append(x)
 
         last_v = v[-1]
-        basis_entries = sum(storage_stats(b).tt_entries for b in v)
-        rec = IterationRecord(
-            k=ctx.iter_offset + k,
-            eta_b=eta_b,
-            eta_Ab=float("nan") if ctx.preconditioned else eta_ab,
-            eta_AMb=eta_ab if ctx.preconditioned else float("nan"),
+        basis_entries = sum(storage_stats(vi).tt_entries for vi in v)
+        out.trace.append(IterationRecord(
+            k=out.iterations,
+            eta_b=eta.eta_b,
+            eta_Ab=math.nan if preconditioned else eta.eta_Ab,
+            eta_AMb=eta.eta_Ab if preconditioned else math.nan,
             eta_tilde_b=eta_tilde,
             lsq_residual=lsq.residual,
-            true_residual=true_res,
+            true_residual=eta.residual_norm,
             max_rank_v=last_v.max_rank,
-            max_rank_x=max_rank_x,
+            max_rank_x=math.nan if t is None else t.max_rank,
             cr_last_vec=storage_stats(last_v).compression_ratio,
             cr_basis=basis_entries / (len(v) * dense_entries),
             delta_used=delta_k,
-        )
-        ctx.records.append(rec)
+        ))
 
         # The relaxed policy stops on the least-squares residual, which
         # needs no assembled iterate; the constant one on eta_Ab.
-        crit = eta_tilde if relaxed else eta_ab
+        crit = eta_tilde if relaxed else eta.eta_Ab
         if not math.isnan(crit):
             eta_hist.append(crit)
             if crit < cfg.epsilon:
-                converged = True
+                stop = "converged"
                 break
         if breakdown:
+            stop = "stagnated" if hard else None
             break
         if cfg.plateau_window and len(eta_hist) > cfg.plateau_window:
             window = eta_hist[-(cfg.plateau_window + 1):]
             best_prev, latest = min(window[:-1]), window[-1]
             if latest <= 100 * cfg.delta and \
                     latest > best_prev * (1.0 - PLATEAU_RTOL):
-                plateaued = True
+                stop = "plateaued"
                 break
 
-    if t_best is None:
-        y = lsq.solve()
-        t_best = _accumulate(v[:len(y)], y,
-                             cfg.delta / (4.0 * max(1, len(y))), cfg.delta)
+    if t is None:
+        t = _accumulate(v, lsq.solve(), stab, delta_k)
     if cfg.keep_basis:
-        ctx.bases.append(v)
-    ctx.iter_offset += iters_done
-    return t_best, converged, iters_done, plateaued, \
-        hard_breakdown and not converged
+        out.meta["bases"].append(v)
+    return t, stop
 
 
 def tt_gmres(a, b: TTVector, cfg: GmresConfig) -> GmresOutcome:
@@ -439,7 +454,7 @@ def tt_gmres(a, b: TTVector, cfg: GmresConfig) -> GmresOutcome:
     TTOperator or an OperatorChain (then the solution is in the variable the
     chain acts on).  See tt_right_gmres for the outcome's meta entries.
     """
-    return tt_right_gmres(a, None, b, None, replace(cfg, m=cfg.maxit))
+    return tt_right_gmres(a, None, b, replace(cfg, m=cfg.maxit))
 
 
 def relaxed_tt_gmres(a, b: TTVector, cfg: GmresConfig) -> GmresOutcome:
@@ -455,75 +470,59 @@ def relaxed_tt_gmres(a, b: TTVector, cfg: GmresConfig) -> GmresOutcome:
 
 
 def tt_right_gmres(a, m: TTOperator | None, b: TTVector,
-                   x0: TTVector | None, cfg: GmresConfig) -> GmresOutcome:
-    """Restarted right-preconditioned GMRES (Alg. 4 driver).
+                   cfg: GmresConfig) -> GmresOutcome:
+    """Restarted right-preconditioned GMRES (Alg. 4 driver) from x = 0.
 
-    `a` is a TTOperator or an OperatorChain; the inner cycles solve with the
-    chain a M.  Repeats: r = round(b - A x, delta); run an inner cycle on
-    A M t = r for up to cfg.m iterations; x = round(x + M t, delta).  With
-    no initial guess the first residual is b itself, which is exact for
-    x = 0.  Returns the unpreconditioned solution with the merged trace.
-    Two events raise meta["stagnated"] and stop the solve unconverged: a
-    cycle that fails to shrink the outer residual by 1e-14 relative, and a
-    hard breakdown inside a cycle (see _gmres_cycle), where the cycle's
-    update is still the least-squares solution over the columns before the
-    breakdown.  meta["plateaued"] reports a plateau stop and meta["cycles"]
-    the cycle count.  With cfg.keep_basis, meta["bases"] holds each cycle's
-    Krylov basis.
+    `a` is a TTOperator or an OperatorChain; the cycles solve with the
+    chain a M.  The driver keeps one iterate u, in the variable the chain
+    acts on, and repeats: r = round(b - A M u, delta) (r = b at the start);
+    run a cycle on A M t = r for up to cfg.m iterations; u = round(u + t,
+    delta).  It returns x = round(M u, delta), or u without a
+    preconditioner, with the trace of all cycles.  Each trace row's eta is
+    the backward error of the assembled iterate u + t on the whole system
+    A M (u + t) = b.  Two events raise meta["stagnated"] and stop the solve
+    unconverged: a cycle that fails to shrink the outer residual by 1e-14
+    relative, and a hard breakdown inside a cycle (see _gmres_cycle).
+    meta["plateaued"] reports a plateau stop and meta["cycles"] the cycle
+    count.  With cfg.keep_basis, meta["bases"] holds each cycle's Krylov
+    basis.
     """
     op = _as_chain(a)
     chain = op if m is None else OperatorChain(op.factors + (m,))
     if chain.col_modes != b.modes or chain.row_modes != b.modes:
         raise ValueError("operator/preconditioner modes must match the rhs")
-    x = tt_zero(b.modes) if x0 is None else x0
     beta = tt_norm(b)
-    opnorm = estimate_l2_norm(chain, seed=cfg.seed)
-    ctx = _GlobalContext(beta=beta, opnorm=opnorm,
-                         preconditioned=len(chain.factors) > 1)
-    outcome = GmresOutcome(solution=x, converged=False, iterations=0,
-                           trace=ctx.records, estimated_opnorm=opnorm,
-                           iterates=ctx.iterates,
-                           meta={"stagnated": False, "plateaued": False,
-                                 "cycles": 0})
+    out = GmresOutcome(solution=tt_zero(b.modes), converged=False,
+                       iterations=0, trace=[],
+                       estimated_opnorm=estimate_l2_norm(chain,
+                                                         seed=cfg.seed),
+                       meta={"stagnated": False, "plateaued": False,
+                             "cycles": 0})
     if cfg.keep_basis:
-        outcome.meta["bases"] = ctx.bases
-    if beta == 0.0:
-        outcome.converged = True
-        return outcome
-    prev_res = math.inf
-    total = 0
-    while total < cfg.maxit:
-        if x0 is None and outcome.meta["cycles"] == 0:
-            r = b
-        else:
-            r = tt_round(tt_add(b, tt_scale(op.apply(x), -1.0)), cfg.delta)
-        res_norm = tt_norm(r)
-        if res_norm == 0.0:
-            outcome.converged = True
+        out.meta["bases"] = []
+    u = None
+    r, r_norm = b, beta
+    while out.iterations < cfg.maxit:
+        if u is not None:
+            r = tt_round(tt_add(b, tt_scale(chain.apply(u), -1.0)),
+                         cfg.delta)
+            prev_norm, r_norm = r_norm, tt_norm(r)
+            if r_norm > prev_norm * (1.0 - 1e-14):
+                out.meta["stagnated"] = True
+                break
+        if r_norm == 0.0:
+            out.converged = True
             break
-        if prev_res < math.inf and res_norm > prev_res * (1.0 - 1e-14):
-            outcome.meta["stagnated"] = True
+        t, stop = _gmres_cycle(chain, b, beta, u, r, r_norm, cfg, out)
+        out.meta["cycles"] += 1
+        u = tt_round(t if u is None else tt_add(u, t), cfg.delta)
+        if stop == "converged":
+            out.converged = True
+        elif stop is not None:
+            out.meta[stop] = True
+        if stop is not None:
             break
-        prev_res = res_norm
-        cycle_len = min(cfg.m, cfg.maxit - total)
-        t, converged, iters, plateaued, hard = _gmres_cycle(
-            chain, r, cfg, ctx, cycle_len)
-        total += iters
-        outcome.meta["cycles"] += 1
-        mt = t if m is None else tt_round(tt_apply(m, t),
-                                          WORKING_PRECISION)
-        x = tt_round(tt_add(x, mt), cfg.delta)
-        ctx.offset_t = t if ctx.offset_t is None else \
-            tt_round(tt_add(ctx.offset_t, t), WORKING_PRECISION)
-        if converged:
-            outcome.converged = True
-            break
-        if hard:
-            outcome.meta["stagnated"] = True
-            break
-        if plateaued:
-            outcome.meta["plateaued"] = True
-            break
-    outcome.solution = x
-    outcome.iterations = total
-    return outcome
+    if u is not None:
+        out.solution = u if m is None else tt_round(tt_apply(m, u),
+                                                    cfg.delta)
+    return out

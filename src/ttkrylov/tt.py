@@ -48,8 +48,6 @@ __all__ = [
     "tt_op_diag_slice",
     "storage_stats",
     "dense_budget",
-    "tt_dump",
-    "tt_load",
 ]
 
 DENSE_BUDGET_ENV = "TTKRYLOV_DENSE_BUDGET"
@@ -573,26 +571,3 @@ def storage_stats(x) -> StorageStats:
                         tt_entries=tt_entries,
                         dense_entries=dense,
                         compression_ratio=tt_entries / dense)
-
-
-def tt_dump(x: TTVector, path) -> None:
-    """Plain-text debug dump: d, modes, ranks, then cores in row-major order."""
-    with open(path, "w") as f:
-        f.write(f"{x.d}\n")
-        f.write(" ".join(str(n) for n in x.modes) + "\n")
-        f.write(" ".join(str(r) for r in x.ranks) + "\n")
-        for c in x.cores:
-            f.write(" ".join(f"{v:.17g}" for v in c.ravel(order="C")) + "\n")
-
-
-def tt_load(path) -> TTVector:
-    """Inverse of tt_dump."""
-    with open(path) as f:
-        d = int(f.readline())
-        modes = [int(v) for v in f.readline().split()]
-        ranks = [int(v) for v in f.readline().split()]
-        cores = []
-        for k in range(d):
-            vals = np.array([float(v) for v in f.readline().split()])
-            cores.append(vals.reshape(ranks[k], modes[k], ranks[k + 1]))
-    return make_tt_vector(cores)

@@ -13,13 +13,21 @@ from ttkrylov.operators import (Grid1D, all_in_one_rhs,
                                 inv_laplacian_preconditioner,
                                 kron_leading_identity, laplacian_eigen_rhs,
                                 tt_laplacian)
-from ttkrylov.solver import OperatorChain, relaxed_tt_gmres, tt_gmres
+from ttkrylov.solver import (IterationRecord, OperatorChain,
+                             relaxed_tt_gmres, tt_gmres)
 
 
 def test_gmres_config_error_is_config_error():
     cfg = ExperimentConfig(experiment="poisson", m=25, maxit=10)
     with pytest.raises(ConfigError, match="maxit"):
         cfg.gmres_config()
+
+
+def test_trace_columns_follow_iteration_record():
+    # trace rows are written as dataclasses.astuple of each record
+    fields = tuple(f.name for f in dataclasses.fields(IterationRecord))
+    assert fields[0] == "k"
+    assert TRACE_COLUMNS == ("iter",) + fields[1:]
 
 
 def test_malloc_thresholds_skipped_without_mallopt(monkeypatch):

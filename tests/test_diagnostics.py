@@ -39,7 +39,7 @@ def solved(request):
     cfg = GmresConfig(m=40, maxit=40, epsilon=1e-9, delta=1e-12,
                       keep_iterates=True)
     out = tt_right_gmres(prob.operator, factors[1] if request.param else None,
-                         prob.rhs, None, cfg)
+                         prob.rhs, cfg)
     assert out.converged and len(out.iterates) >= 3
     dense = tt_op_to_dense(factors[0])
     for f in factors[1:]:

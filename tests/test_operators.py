@@ -431,8 +431,8 @@ class TestParamSet:
 
     def test_sorted_validation(self):
         with pytest.raises(ValueError):
-            ParamSet((3.0, 1.0), "uniform", (0.0, 10.0))
+            ParamSet((3.0, 1.0), (0.0, 10.0))
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            ParamSet((0.5, 2.0), "log", (1.0, 10.0))
+            ParamSet((0.5, 2.0), (1.0, 10.0))

@@ -27,6 +27,7 @@ from ttkrylov.solver import (
     GmresConfig,
     GivensLsq,
     OperatorChain,
+    backward_errors,
     estimate_l2_norm,
     hessenberg_lsq,
     relaxed_tt_gmres,
@@ -229,9 +230,8 @@ class TestRightGmres:
         op = small_spd_op(seed=21)
         b = tt_random((8, 8), (1, 3, 1), seed=22)
         cfg = GmresConfig(m=5, maxit=30, epsilon=1e-9, delta=1e-12)
-        plain = tt_right_gmres(op, None, b, None, cfg)
-        with_id = tt_right_gmres(op, tt_identity_operator((8, 8)), b, None,
-                                 cfg)
+        plain = tt_right_gmres(op, None, b, cfg)
+        with_id = tt_right_gmres(op, tt_identity_operator((8, 8)), b, cfg)
         assert plain.converged and with_id.converged
         diff = tt_add(plain.solution, tt_scale(with_id.solution, -1.0))
         assert tt_norm(diff) <= 1e-7 * tt_norm(plain.solution)
@@ -240,7 +240,7 @@ class TestRightGmres:
         g = Grid1D(15, 0.0, 1.0)
         prob = poisson_problem(g)
         cfg = GmresConfig(m=10, maxit=200, epsilon=1e-5, delta=1e-5, seed=1)
-        out = tt_right_gmres(prob.operator, None, prob.rhs, None, cfg)
+        out = tt_right_gmres(prob.operator, None, prob.rhs, cfg)
         assert out.converged
         assert out.meta["cycles"] > 1
         etas = [r.eta_Ab for r in out.trace if not np.isnan(r.eta_Ab)]
@@ -253,7 +253,7 @@ class TestRightGmres:
         op = tt_op_from_factors([proj, np.eye(6)])
         b = tt_random((6, 6), (1, 2, 1), seed=3)
         cfg = GmresConfig(m=3, maxit=30, epsilon=1e-12, delta=1e-12)
-        out = tt_right_gmres(op, None, b, None, cfg)
+        out = tt_right_gmres(op, None, b, cfg)
         assert not out.converged
         assert out.meta["stagnated"]
 
@@ -262,12 +262,58 @@ class TestRightGmres:
         prob = convection_diffusion_problem(g)
         m = inv_laplacian_preconditioner(3, g, 4, 1e-2)
         cfg = GmresConfig(m=40, maxit=40, epsilon=1e-5, delta=1e-5, seed=2)
-        out = tt_right_gmres(prob.operator, m, prob.rhs, None, cfg)
+        out = tt_right_gmres(prob.operator, m, prob.rhs, cfg)
         assert out.converged
         assert out.iterations <= 15
         # trace exposes the preconditioned backward error
         assert not np.isnan(out.trace[-1].eta_AMb)
         assert np.isnan(out.trace[-1].eta_Ab)
+
+    @pytest.mark.parametrize("m, delta, epsilon, cycles",
+                             [(4, 1e-5, 1e-5, 2), (3, 1e-8, 1e-6, 3)])
+    def test_restarted_preconditioned_reports_true_backward_errors(
+            self, m, delta, epsilon, cycles):
+        # every trace row's eta is the backward error on the whole system
+        # A M u = b of the iterate stored with it, however many cycles ran
+        g = Grid1D(7, -1.0, 1.0)
+        prob = convection_diffusion_problem(g)
+        precond = inv_laplacian_preconditioner(3, g, 2, 1e-2)
+        cfg = GmresConfig(m=m, maxit=60, epsilon=epsilon, delta=delta,
+                          seed=1, keep_iterates=True)
+        out = tt_right_gmres(prob.operator, precond, prob.rhs, cfg)
+        assert out.converged and out.meta["cycles"] == cycles
+        chain = OperatorChain([prob.operator, precond])
+        am = tt_op_to_dense(prob.operator) @ tt_op_to_dense(precond)
+        bd = tt_to_dense(prob.rhs).ravel()
+        rows = [r for r in out.trace if not np.isnan(r.eta_b)]
+        assert len(rows) == len(out.iterates) == out.iterations
+        for rec, u in zip(rows, out.iterates):
+            be = backward_errors(chain, u, prob.rhs, out.estimated_opnorm)
+            np.testing.assert_allclose([be.eta_b, be.eta_Ab],
+                                       [rec.eta_b, rec.eta_AMb], rtol=1e-12)
+            ud = tt_to_dense(u).ravel()
+            res = np.linalg.norm(bd - am @ ud)
+            dense = [res / np.linalg.norm(bd),
+                     res / (out.estimated_opnorm * np.linalg.norm(ud)
+                            + np.linalg.norm(bd))]
+            np.testing.assert_allclose([rec.eta_b, rec.eta_AMb], dense,
+                                       rtol=1e-8)
+
+    def test_solution_independent_of_assembly_every(self):
+        # a relaxed cycle that plateaus between two assemblies returns the
+        # least-squares update of its last iteration all the same
+        g = Grid1D(7, -1.0, 1.0)
+        prob = convection_diffusion_problem(g)
+        precond = inv_laplacian_preconditioner(3, g, 2, 1e-2)
+        outs = [tt_right_gmres(prob.operator, precond, prob.rhs, GmresConfig(
+            m=60, maxit=60, epsilon=1e-15, delta=1e-4, plateau_window=1,
+            rounding_policy="relaxed", assembly_every=every))
+            for every in (5, 1)]
+        for out in outs:
+            assert out.meta["plateaued"] and out.iterations == 8
+        x5, x1 = (out.solution for out in outs)
+        assert tt_norm(tt_add(x5, tt_scale(x1, -1.0))) \
+            <= 1e-12 * tt_norm(x1)
 
 
 class TestRelaxed:

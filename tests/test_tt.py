@@ -13,11 +13,9 @@ from ttkrylov import (
     storage_stats,
     tt_add,
     tt_apply,
-    tt_dump,
     tt_from_dense,
     tt_identity_operator,
     tt_inner,
-    tt_load,
     tt_norm,
     tt_ones,
     tt_op_compose,
@@ -485,26 +483,3 @@ class TestStorage:
         a = rand_op((3, 4), (5, 2), (1, 2, 1))
         st = storage_stats(a)
         assert st.dense_entries == (3 * 5) * (4 * 2)
-
-
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        x = rand_vec((3, 4, 2), (1, 2, 3, 1))
-        path = tmp_path / "x.tt"
-        tt_dump(x, path)
-        y = tt_load(path)
-        assert y.ranks == x.ranks
-        for cx, cy in zip(x.cores, y.cores):
-            np.testing.assert_array_equal(cx, cy)
-
-    def test_golden_file(self, tmp_path):
-        # format regression: d, modes, ranks, then row-major cores
-        x = make_tt_vector([np.arange(6.0).reshape(1, 3, 2),
-                            np.arange(8.0).reshape(2, 4, 1)])
-        path = tmp_path / "g.tt"
-        tt_dump(x, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "2"
-        assert lines[1] == "3 4"
-        assert lines[2] == "1 2 1"
-        assert lines[3].split() == [f"{v:.17g}" for v in np.arange(6.0)]
