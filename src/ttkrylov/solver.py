@@ -14,14 +14,22 @@ each cycle solves A M t = r for r = round(b - A M u, delta), then
 u = round(u + t, delta), and the solution is x = round(M u, delta), formed
 once at the end.  Every iteration is logged as an IterationRecord; its eta
 is the normwise backward error, from backward_errors, of the assembled
-iterate u + t on the whole system A M (u + t) = b, and convergence is
-judged on it.
+iterate x = round(u + t, WORKING_PRECISION) (x = t in the first cycle) on
+the whole system A M x = b, and convergence is judged on it.  Rounding the
+sum keeps A M from being applied at rank r_u + r_t.
 
 To keep intermediate bond ranks bounded on long cycles, the MGS subtraction
 loop and the iterate accumulation apply stabilization roundings at
-``delta_k / (4 * k)``.  Their combined perturbation per iteration is below
-delta_k / 2, so the backward-error plateau and the basis-orthogonality
-contract (100 * delta) are unaffected.
+``stab = delta_k / (4 * k)``.  Their combined perturbation per iteration is
+below delta_k / 2, so the backward-error plateau and the basis-orthogonality
+contract (100 * delta) are unaffected.  The MGS loop makes at most k of
+them at step k: it skips the subtraction of c_i v_i (c_i = <v_i, w>, v_i of
+unit norm) whenever |c_i| <= stab * sqrt(w_low^2 - c_i^2), where w_low is a
+lower bound on |w|.  As |w - c_i v_i|^2 = |w|^2 - c_i^2, w itself is then a
+rounding of w - c_i v_i at stab, with the same guarantee tt_round gives, so
+the delta_k / 4 budget of the loop holds whether a step is skipped or not.
+On symmetric operators, whose Arnoldi matrix is tridiagonal up to
+round-off, most steps are skipped.
 """
 
 from __future__ import annotations
@@ -331,6 +339,23 @@ def _accumulate(vecs, coeffs, stab_delta: float, final_delta: float):
     return tt_round(acc, final_delta)
 
 
+def _mgs_step(w: TTVector, w_low: float, v: TTVector, stab: float):
+    """One MGS step: round(w - c v, stab) for the unit vector v.
+
+    w_low is a lower bound on |w|.  Returns (w', w_low', c) with
+    c = <v, w>, |w' - (w - c v)| <= stab |w - c v| and w_low' <= |w'|.
+    When |c| <= stab * sqrt(w_low^2 - c^2) <= stab |w - c v|, w itself
+    meets that contract and is returned as it is: no sum is formed and
+    nothing is rounded.  Otherwise the rounded difference is at least
+    (1 - stab) |w - c v| in norm.
+    """
+    c = tt_inner(v, w)
+    rest = math.sqrt(max(w_low * w_low - c * c, 0.0))
+    if abs(c) <= stab * rest:
+        return w, w_low, c
+    return tt_round(tt_add(w, tt_scale(v, -c)), stab), (1.0 - stab) * rest, c
+
+
 def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
                  u: TTVector | None, r: TTVector, r_norm: float,
                  cfg: GmresConfig, out: GmresOutcome):
@@ -339,10 +364,10 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
 
     Runs at most cfg.m iterations, and no more than cfg.maxit in total, and
     appends each iteration's record to `out` (with cfg.keep_iterates, each
-    assembled iterate u + t too).  Returns (t, stop): t is the least-squares
-    update of the last iteration, assembled on exit if that iteration was
-    not, and stop is None (restart), "converged", "plateaued" or
-    "stagnated".
+    assembled iterate round(u + t, WORKING_PRECISION) too).  Returns
+    (t, stop): t is the least-squares update of the last iteration,
+    assembled on exit if that iteration was not, and stop is None
+    (restart), "converged", "plateaued" or "stagnated".
 
     A breakdown (h_{k+1,k} below BREAKDOWN_TOL * r_norm) is lucky when the
     rotated diagonal r_kk stays above BREAKDOWN_TOL times the norm of
@@ -369,15 +394,16 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
             delta_k = min(1.0, cfg.delta / max(lsq.residual, 1e-300))
         else:
             delta_k = cfg.delta
-        # k stabilization roundings this iteration, each at delta_k/(4k),
-        # keep the extra perturbation below delta_k / 4.
+        # At most k stabilization roundings this iteration, each at
+        # delta_k/(4k), keep the extra perturbation below delta_k / 4; a
+        # step whose term lies inside its own tolerance is skipped.
         stab = delta_k / (4.0 * k)
 
         w = chain.apply(v[-1], delta=delta_k)
+        w_low = tt_norm(w)
         col = np.zeros(k + 1)
         for i in range(k):
-            col[i] = tt_inner(v[i], w)
-            w = tt_round(tt_add(w, tt_scale(v[i], -col[i])), stab)
+            w, w_low, col[i] = _mgs_step(w, w_low, v[i], stab)
         w = tt_round(w, delta_k)
         h_last = tt_norm(w)
         col[k] = h_last
@@ -399,7 +425,8 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
         eta = BackwardErrors(math.nan, math.nan, math.nan)
         if assemble:
             t = _accumulate(v, lsq.solve(), stab, delta_k)
-            x = t if u is None else tt_add(u, t)
+            x = t if u is None else tt_round(tt_add(u, t),
+                                             WORKING_PRECISION)
             eta = backward_errors(chain, x, b, out.estimated_opnorm)
             if cfg.keep_iterates:
                 out.iterates.append(x)
@@ -479,13 +506,13 @@ def tt_right_gmres(a, m: TTOperator | None, b: TTVector,
     run a cycle on A M t = r for up to cfg.m iterations; u = round(u + t,
     delta).  It returns x = round(M u, delta), or u without a
     preconditioner, with the trace of all cycles.  Each trace row's eta is
-    the backward error of the assembled iterate u + t on the whole system
-    A M (u + t) = b.  Two events raise meta["stagnated"] and stop the solve
-    unconverged: a cycle that fails to shrink the outer residual by 1e-14
-    relative, and a hard breakdown inside a cycle (see _gmres_cycle).
-    meta["plateaued"] reports a plateau stop and meta["cycles"] the cycle
-    count.  With cfg.keep_basis, meta["bases"] holds each cycle's Krylov
-    basis.
+    the backward error of the assembled iterate x = round(u + t,
+    WORKING_PRECISION) on the whole system A M x = b.  Two events raise
+    meta["stagnated"] and stop the solve unconverged: a cycle that fails to
+    shrink the outer residual by 1e-14 relative, and a hard breakdown
+    inside a cycle (see _gmres_cycle).  meta["plateaued"] reports a plateau
+    stop and meta["cycles"] the cycle count.  With cfg.keep_basis,
+    meta["bases"] holds each cycle's Krylov basis.
     """
     op = _as_chain(a)
     chain = op if m is None else OperatorChain(op.factors + (m,))

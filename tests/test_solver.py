@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from ttkrylov import solver
 from ttkrylov import (
     make_tt_operator,
     tt_add,
@@ -11,6 +14,7 @@ from ttkrylov import (
     tt_op_from_factors,
     tt_op_to_dense,
     tt_random,
+    tt_round,
     tt_scale,
     tt_to_dense,
     tt_zero,
@@ -27,6 +31,7 @@ from ttkrylov.solver import (
     GmresConfig,
     GivensLsq,
     OperatorChain,
+    _mgs_step,
     backward_errors,
     estimate_l2_norm,
     hessenberg_lsq,
@@ -314,6 +319,66 @@ class TestRightGmres:
         x5, x1 = (out.solution for out in outs)
         assert tt_norm(tt_add(x5, tt_scale(x1, -1.0))) \
             <= 1e-12 * tt_norm(x1)
+
+
+class TestMgsSkip:
+    """The MGS loop skips each subtraction that lies inside its tolerance."""
+
+    def test_symmetric_operator_skips_stabilization_roundings(
+            self, monkeypatch):
+        # Poisson is symmetric, so H is tridiagonal up to round-off and
+        # most c_i = <v_i, w> vanish; every MGS step used to round anyway.
+        prob = poisson_problem(Grid1D(7))
+        delta = 1e-5
+        mgs_rounds = []
+
+        # MGS stabilization roundings are the ones at delta / (4 k), k <= m.
+        def counting_round(x, d):
+            caller = sys._getframe(1).f_code.co_name
+            if caller in ("_gmres_cycle", "_mgs_step") and \
+                    delta / (4 * 20) <= d < delta:
+                mgs_rounds.append(d)
+            return tt_round(x, d)
+
+        monkeypatch.setattr(solver, "tt_round", counting_round)
+        cfg = GmresConfig(m=20, maxit=20, epsilon=1e-5, delta=delta,
+                          keep_basis=True)
+        out = tt_gmres(prob.operator, prob.rhs, cfg)
+        assert out.converged and out.iterations == 15
+        mgs_steps = sum(range(1, out.iterations + 1))
+        assert len(mgs_rounds) < mgs_steps
+        basis = out.meta["bases"][0]
+        worst = max(abs(tt_inner(basis[i], basis[j]))
+                    for i in range(len(basis))
+                    for j in range(i + 1, len(basis)))
+        assert worst <= 100 * delta
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 2.0, 1e3])
+    @pytest.mark.parametrize("loose", [False, True])
+    def test_step_meets_rounding_contract(self, ratio, loose):
+        # c is set to `ratio` times the skip threshold stab * |w - c v|;
+        # w_low is |w| itself or a looser lower bound.
+        stab = 1e-3
+        modes = (5, 6, 4)
+        w0 = tt_random(modes, (1, 3, 2, 1), seed=7)
+        v = tt_random(modes, (1, 2, 2, 1), seed=8)
+        v = tt_scale(v, 1.0 / tt_norm(v))
+        d0, dv = tt_to_dense(w0), tt_to_dense(v)
+        perp = d0 - np.vdot(dv, d0) * dv
+        target = ratio * stab * np.linalg.norm(perp)
+        w = tt_add(w0, tt_scale(v, target - tt_inner(v, w0)))
+        dw = tt_to_dense(w)
+        w_low = np.linalg.norm(dw) * (0.9 if loose else 1.0)
+        w_new, w_low_new, c = _mgs_step(w, w_low, v, stab)
+        assert c == pytest.approx(np.vdot(dv, dw), rel=1e-10, abs=1e-12)
+        exact = dw - c * dv
+        err = np.linalg.norm(tt_to_dense(w_new) - exact)
+        assert err <= stab * np.linalg.norm(exact)
+        assert w_low_new <= np.linalg.norm(tt_to_dense(w_new))
+        if ratio <= 0.5 and not loose:
+            assert w_new is w           # skipped: nothing formed or rounded
+        if ratio >= 2.0:
+            assert w_new is not w
 
 
 class TestRelaxed:
