@@ -23,7 +23,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -186,12 +186,6 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
 
-_BOOL_FIELDS = {"precondition", "bounds"}
-_INT_FIELDS = {"n", "d", "p", "m", "maxit", "q", "seed", "j", "rank_cap",
-               "assembly_every", "plateau_window"}
-_FLOAT_FIELDS = {"epsilon", "delta", "tau"}
-
-
 def parse_config_text(text: str) -> dict:
     """Parse the flat key = value format into a dict of strings."""
     out = {}
@@ -207,21 +201,23 @@ def parse_config_text(text: str) -> dict:
 
 
 def build_config(pairs: dict) -> ExperimentConfig:
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    """ExperimentConfig from string values, each parsed to the type its
+    field declares."""
+    types = get_type_hints(ExperimentConfig)
     kwargs = {}
     for key, val in pairs.items():
-        if key not in fields:
+        if key not in types:
             raise ConfigError(f"{key}: unknown configuration key")
-        if key in _BOOL_FIELDS:
+        if types[key] is bool:
             if val not in ("0", "1", "true", "false"):
                 raise ConfigError(f"{key}: expected 0/1/true/false")
             kwargs[key] = val in ("1", "true")
-        elif key in _INT_FIELDS:
+        elif types[key] is int:
             try:
                 kwargs[key] = int(val)
             except ValueError:
                 raise ConfigError(f"{key}: expected an integer, got {val!r}")
-        elif key in _FLOAT_FIELDS:
+        elif types[key] is float:
             try:
                 kwargs[key] = float(val)
             except ValueError:

@@ -371,7 +371,7 @@ def all_in_one_operator(b0: TTOperator, b1: TTOperator,
     return make_tt_operator(cores)
 
 
-def all_in_one_rhs(parts, round_delta: float | None = None) -> TTVector:
+def all_in_one_rhs(parts) -> TTVector:
     """Stack p tensors along a new leading mode so that slice l is parts[l].
 
     Cores are zero-padded to a common rank chain, the leading core is the
@@ -415,10 +415,7 @@ def all_in_one_rhs(parts, round_delta: float | None = None) -> TTVector:
                 new[ell * s_in:(ell + 1) * s_in, :,
                     ell * s_out:(ell + 1) * s_out] = padded[ell][k]
         cores.append(new)
-    out = make_tt_vector(cores)
-    if round_delta is not None:
-        out = tt_round(out, round_delta)
-    return out
+    return make_tt_vector(cores)
 
 
 def parametric_convection_diffusion_problem(
@@ -436,7 +433,7 @@ def parametric_convection_diffusion_problem(
     for alpha in params.values:
         c = _convdiff_rhs(g, alpha=alpha)
         parts.append(tt_scale(c, 1.0 / tt_norm(c)))
-    rhs = all_in_one_rhs(parts, round_delta=1e-15)
+    rhs = tt_round(all_in_one_rhs(parts), 1e-15)
     return ProblemInstance(operator=op, rhs=rhs)
 
 
@@ -445,7 +442,7 @@ def heat_parametrized_problem(g: Grid1D, params: ParamSet) -> ProblemInstance:
     b0, b1, c = heat_parametrized_parts(g)
     op = all_in_one_operator(b0, b1, params)
     ones_core = np.ones((1, params.p, 1))
-    rhs = make_tt_vector([ones_core] + [np.array(k) for k in c.cores])
+    rhs = make_tt_vector([ones_core, *c.cores])
     return ProblemInstance(operator=op, rhs=rhs)
 
 
@@ -466,15 +463,14 @@ def multi_rhs_problem(base: ProblemInstance, p: int, rank_cap: int,
     base_norm = tt_norm(base.rhs)
     e = tt_scale(e, np.sqrt(p) * base_norm)
     ones_core = np.ones((1, p, 1))
-    stacked = make_tt_vector([ones_core]
-                             + [np.array(c) for c in base.rhs.cores])
+    stacked = make_tt_vector([ones_core, *base.rhs.cores])
     rhs = tt_add(stacked, e)
     # Per-slice normalization only rescales rows of the leading core.
     norms = [tt_norm(tt_slice_first_mode(rhs, ell)) for ell in range(1, p + 1)]
     first = np.array(rhs.cores[0])
     for ell in range(p):
         first[0, ell, :] /= norms[ell]
-    rhs = make_tt_vector([first] + [np.array(c) for c in rhs.cores[1:]])
+    rhs = make_tt_vector([first, *rhs.cores[1:]])
     op = kron_leading_identity(p, base.operator)
     return ProblemInstance(operator=op, rhs=rhs)
 

@@ -302,6 +302,9 @@ class BackwardErrors:
     eta_b: float
     eta_Ab: float
     residual_norm: float
+    x_norm: float
+    product: TTVector | None = field(default=None, compare=False,
+                                     repr=False)
 
 
 def backward_errors(a, x: TTVector, b: TTVector,
@@ -310,21 +313,24 @@ def backward_errors(a, x: TTVector, b: TTVector,
 
     `a` is an operator or a chain; for a chain ending in a preconditioner,
     x is the preconditioned iterate and `opnorm` estimates |A M|.  The
-    residual b - A x is computed in TT arithmetic without rounding beyond
-    working precision.
+    product A x is formed in TT arithmetic, rounded at working precision
+    only, and returned as `product` with the norms |b - A x| and |x|; it
+    takes no part in equality.
     """
     if opnorm < 0:
         raise ValueError("opnorm must be >= 0")
     bnorm = tt_norm(b)
     if bnorm == 0:
         raise ValueError("rhs has zero norm")
-    z = tt_add(b, tt_scale(
-        _as_chain(a).apply(x, delta=WORKING_PRECISION), -1.0))
-    rnorm = tt_norm(z)
+    ax = _as_chain(a).apply(x, delta=WORKING_PRECISION)
+    rnorm = tt_norm(tt_add(b, tt_scale(ax, -1.0)))
+    xnorm = tt_norm(x)
     return BackwardErrors(
         eta_b=rnorm / bnorm,
-        eta_Ab=rnorm / (opnorm * tt_norm(x) + bnorm),
+        eta_Ab=rnorm / (opnorm * xnorm + bnorm),
         residual_norm=rnorm,
+        x_norm=xnorm,
+        product=ax,
     )
 
 
@@ -422,12 +428,15 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
             or (k % cfg.assembly_every == 0) \
             or (relaxed and eta_tilde < cfg.epsilon)
         t = None
-        eta = BackwardErrors(math.nan, math.nan, math.nan)
+        eta = BackwardErrors(math.nan, math.nan, math.nan, math.nan)
         if assemble:
             t = _accumulate(v, lsq.solve(), stab, delta_k)
             x = t if u is None else tt_round(tt_add(u, t),
                                              WORKING_PRECISION)
-            eta = backward_errors(chain, x, b, out.estimated_opnorm)
+            # Only the norms are kept: the product would otherwise stay
+            # alive through the next iteration's mat-vec.
+            eta = replace(backward_errors(chain, x, b, out.estimated_opnorm),
+                          product=None)
             if cfg.keep_iterates:
                 out.iterates.append(x)
 

@@ -531,8 +531,7 @@ def tt_slice_first_mode(x: TTVector, ell: int) -> TTVector:
         raise IndexError(f"slice index {ell} outside 1..{n0}")
     row = x.cores[0][0, ell - 1, :]                       # (r_1,)
     first = np.tensordot(row, x.cores[1], axes=([0], [0]))  # (n_1, r_2)
-    return make_tt_vector([first[None]]
-                          + [np.array(c) for c in x.cores[2:]])
+    return make_tt_vector([first[None], *x.cores[2:]])
 
 
 def tt_op_diag_slice(a: TTOperator, ell: int, tol: float = 1e-12) -> TTOperator:
@@ -555,8 +554,7 @@ def tt_op_diag_slice(a: TTOperator, ell: int, tol: float = 1e-12) -> TTOperator:
         raise TTError("first core is not a diagonal selector")
     vec = c0[ell - 1, ell - 1, :]                          # (r_1,)
     first = np.tensordot(vec, a.cores[1], axes=([0], [0]))
-    return make_tt_operator([first.reshape(1, *first.shape)]
-                            + [np.array(c) for c in a.cores[2:]])
+    return make_tt_operator([first[None], *a.cores[2:]])
 
 
 def storage_stats(x) -> StorageStats:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
@@ -21,6 +22,26 @@ def test_gmres_config_error_is_config_error():
     cfg = ExperimentConfig(experiment="poisson", m=25, maxit=10)
     with pytest.raises(ConfigError, match="maxit"):
         cfg.gmres_config()
+
+
+# A string form of each declared key type and the value it parses to.
+PARSED = {bool: ("true", True), int: ("3", 3), float: ("0.25", 0.25),
+          str: ("x", "x")}
+
+
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_every_key_parses_to_its_declared_type(field):
+    declared = get_type_hints(ExperimentConfig)[field]
+    text, value = PARSED[declared]
+    cfg = build_config({"experiment": "poisson", field: text})
+    assert type(getattr(cfg, field)) is declared
+    assert getattr(cfg, field) == value
+    if declared is not str:
+        message = {bool: "expected 0/1/true/false", int: "expected an integer",
+                   float: "expected a number"}[declared]
+        with pytest.raises(ConfigError, match=f"^{field}: {message}"):
+            build_config({"experiment": "poisson", field: "1.5x"})
 
 
 def test_trace_columns_follow_iteration_record():

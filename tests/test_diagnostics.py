@@ -7,11 +7,15 @@ from ttkrylov.diagnostics import BoundParams, backward_errors, verify_bounds
 from ttkrylov.operators import (
     Grid1D,
     ParamSet,
+    all_in_one_rhs,
+    convection_diffusion_problem,
     inv_laplacian_preconditioner,
     kron_leading_identity,
     parametric_convection_diffusion_problem,
 )
-from ttkrylov.solver import GmresConfig, OperatorChain, tt_right_gmres
+from ttkrylov.solver import (NORM_SAMPLES, GmresConfig, OperatorChain,
+                             tt_right_gmres)
+from ttkrylov.tt import tt_norm, tt_scale
 
 P = 2
 N = 3
@@ -132,3 +136,52 @@ def test_verify_bounds_matches_dense(solved):
                     opnorm_Ainv=norm_ainv).kappa2, kappa)
     assert_close(report.rho_dagger,
                  np.sqrt(P) * (1 + kappa) / (2 - report.nu))
+
+
+def test_slice_residuals_add_up_to_the_joint_residual(solved):
+    # The slice residuals are exact slices of the one joint residual, so
+    # their norms add up to its norm to the accuracy of the norms alone.
+    chain, b, iterates, a = solved
+    report = verify_bounds(chain, b, iterates, np.linalg.norm(a, 2))
+    bnorm = tt_norm(b)
+    b_slice_norms = np.array([tt_norm(tt_slice_first_mode(b, ell + 1))
+                              for ell in range(P)])
+    for k in range(len(iterates)):
+        slices = np.array(report.eta_b_slice[k]) * b_slice_norms
+        gap = abs(np.sqrt(np.sum(slices ** 2)) - report.eta_b[k] * bnorm)
+        assert gap <= 1e-15 * bnorm
+
+
+def test_verify_bounds_applies_no_slice_chain(solved, monkeypatch):
+    # One joint product per iterate, plus the sampled slice-norm estimates.
+    chain, b, iterates, a = solved
+    calls = []
+    apply = OperatorChain.apply
+
+    def counted(self, x, delta=None):
+        calls.append(self)
+        return apply(self, x, delta)
+
+    monkeypatch.setattr(OperatorChain, "apply", counted)
+    verify_bounds(chain, b, iterates, np.linalg.norm(a, 2))
+    assert len(calls) == len(iterates) + P * NORM_SAMPLES
+
+
+@pytest.mark.parametrize("preconditioned", [False, True],
+                         ids=["plain", "preconditioned"])
+def test_selector_follows_the_slice_operators(preconditioned):
+    g = Grid1D(N, -1.0, 1.0)
+    precond = inv_laplacian_preconditioner(3, g, 2, 1e-2)
+    base = convection_diffusion_problem(g)
+    shared = [kron_leading_identity(P, base.operator)]
+    param = parametric_convection_diffusion_problem(
+        g, ParamSet.log_spaced(P))
+    varied = [param.operator]
+    if preconditioned:
+        shared.append(kron_leading_identity(P, precond))
+        varied.append(kron_leading_identity(P, precond))
+    rhs = all_in_one_rhs([base.rhs, tt_scale(base.rhs, 2.0)])
+    report = verify_bounds(OperatorChain(shared), rhs, [rhs], 1.0)
+    assert report.selector == "gamma"
+    report = verify_bounds(OperatorChain(varied), param.rhs, [param.rhs], 1.0)
+    assert report.selector == "upsilon"

@@ -1,8 +1,9 @@
-"""Every name a ttkrylov module imports is used in it.
+"""Every name a ttkrylov module imports is used in it, and every name in its
+``__all__`` is bound in it.
 
 Only the standard library's ``ast`` is used, so the check runs wherever the
 tests do.  A module's ``__all__`` entries count as uses, and ``__init__.py``
-is exempt: its imports are the package's re-exports.
+is exempt from the first check: its imports are the package's re-exports.
 """
 
 import ast
@@ -43,3 +44,33 @@ def test_detects_an_unused_import():
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+
+def unbound_public_names(source: str) -> list[str]:
+    """Names in ``__all__`` that no top-level statement of the module binds."""
+    tree = ast.parse(source)
+    bound, public = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                public = ast.literal_eval(node.value)
+    return [name for name in public if name not in bound]
+
+
+def test_detects_an_unbound_public_name():
+    src = "from math import pi\ndef f(): pass\n__all__ = ['pi', 'f', 'g']\n"
+    assert unbound_public_names(src) == ["g"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_all_names_are_bound(path):
+    assert unbound_public_names(path.read_text()) == []
