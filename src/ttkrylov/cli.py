@@ -137,8 +137,16 @@ class ExperimentConfig:
         if self.bounds and not spec.stacked:
             raise ConfigError(
                 f"bounds: experiment {self.experiment} stacks no systems")
-        if self.experiment == "eigen-rhs" and self.j < 1:
-            raise ConfigError("j: must be >= 1 for eigen-rhs")
+        if self.experiment == "eigen-rhs" and not 1 <= self.j <= self.n - 1:
+            raise ConfigError("j: must lie in 1..n-1 for eigen-rhs")
+        if self.q < 0:
+            raise ConfigError("q: must be >= 0")
+        if self.tau < 0:
+            raise ConfigError("tau: must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
+        if self.rank_cap < 1:
+            raise ConfigError("rank_cap: must be >= 1")
         if self.format not in ("csv", "json"):
             raise ConfigError("format: must be csv or json")
         # Solver fields are checked here, before any operator is built; a
@@ -333,7 +341,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
             # A stacked system holds its copies along the leading mode; the
             # 3-d preconditioner acts on each of them.
             m = precond
-            if precond is not None and rhs.d > 3:
+            if precond is not None and precond.row_modes != rhs.modes:
                 with _phase(phases, "build"):
                     m = kron_leading_identity(rhs.modes[0], precond)
 

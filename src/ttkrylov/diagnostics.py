@@ -17,8 +17,8 @@ joint and every per-slice residual, with no slice operator applied.
 Operator norms are sampled estimates; the per-slice estimates are augmented
 with the Rayleigh quotients of the iterates themselves so the inequalities
 stay theorems under estimation (the estimate remains a lower bound of the
-true norm).  For instances whose slice operators differ, the psi-based check
-is evaluated with the joint operator norm on both sides, which is the
+true norm).  The psi-based check is evaluated with the joint operator norm
+on both sides, whether the slice operators differ or not: that is the
 setting in which that bound is proved.
 """
 
@@ -133,7 +133,7 @@ def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
 
       * eta_b * sqrt(p) >= eta_b_l
       * eta_Ab * rho_l  >= eta_Ab_l
-      * eta_Ab * psi_l  >= eta_Ab_l  (joint-norm variant when slices differ)
+      * eta_Ab * psi_l  >= eta_Ab_l  (eta_Ab_l taken at the joint |A|)
       * eta_Ab * rho*   >= eta_Ab_l  for k >= k*, with nu from the trace
 
     Violations beyond BOUND_SLACK are recorded, never raised.
@@ -151,8 +151,8 @@ def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
                                  for f in chain.factors])
                   for ell in range(1, p + 1)]
     # Slices of one factor share every core but the first, so they are equal
-    # when their first cores are.  A false "differ" only selects the
-    # joint-norm psi check, which is proved either way.
+    # when their first cores are.  A false "differ" only selects the upsilon
+    # ranking of the slices instead of gamma; no check depends on it.
     slices_equal = all(np.array_equal(f.cores[0], f0.cores[0])
                        for sc in sub_chains[1:]
                        for f, f0 in zip(sc.factors, sub_chains[0].factors))
@@ -202,12 +202,11 @@ def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
     eta_b_sl = res_slice / b_slice_norms
     eta_ab_sl = res_slice / (slice_est * x_slice_norm + b_slice_norms)
     eta_ab_sl_joint = res_slice / (opnorm_A * x_slice_norm + b_slice_norms)
-    psi_target = eta_ab_sl if slices_equal else eta_ab_sl_joint
     late = nu_valid & (np.arange(n_it) >= k_star)[:, None]
     failed = {
         "prop1": eta_b[:, None] * sp + BOUND_SLACK < eta_b_sl,
         "prop2": eta_ab[:, None] * rho + BOUND_SLACK < eta_ab_sl,
-        "prop3": eta_ab[:, None] * psi + BOUND_SLACK < psi_target,
+        "prop3": eta_ab[:, None] * psi + BOUND_SLACK < eta_ab_sl_joint,
         "cor_rho_star": late & ((eta_ab * rho_star)[:, None] + BOUND_SLACK
                                 < eta_ab_sl),
     }

@@ -204,9 +204,8 @@ def poisson_problem(g: Grid1D) -> ProblemInstance:
     w = _poly_nodes(g)
     ones = np.ones(g.n)
     op = tt_laplacian(3, g, negate=True)
-    rhs = tt_add(
-        tt_add(tt_rank_one([2 * ones, w, w]), tt_rank_one([2 * w, ones, w])),
-        tt_rank_one([2 * w, w, ones]))
+    rhs = tt_add(tt_rank_one([2 * ones, w, w]), tt_rank_one([2 * w, ones, w]),
+                 tt_rank_one([2 * w, w, ones]))
     exact = tt_rank_one([w, w, w])
     return ProblemInstance(operator=op, rhs=rhs, analytic_solution=exact)
 
@@ -312,16 +311,10 @@ def inv_laplacian_preconditioner(d: int, g: Grid1D, q: int,
     xi = np.pi / np.sqrt(q)
     t = np.exp(xi * np.arange(-q, q + 1))
     spectra = np.exp(-np.outer(t, mu))                 # row k: e_k
-    weighted = (xi * t)[:, None] * spectra             # row k: c_k e_k
-    if d == 1:
-        diag = [weighted.sum(axis=0).reshape(1, n, 1)]
-    else:
-        middle = np.zeros((t.size, n, t.size))
-        middle[np.arange(t.size), :, np.arange(t.size)] = spectra
-        diag = ([weighted.T.reshape(1, n, t.size)] + [middle] * (d - 2)
-                + [spectra.reshape(t.size, n, 1)])
+    diag = tt_add(*(tt_rank_one([c * e] + [e] * (d - 1))
+                    for c, e in zip(xi * t, spectra)))
     cores = []
-    for c in tt_round(make_tt_vector(diag), tau).cores:
+    for c in tt_round(diag, tau).cores:
         a, _, b = c.shape
         v = c.transpose(0, 2, 1).reshape(a * b, n)
         ops = (s[None] * v[:, None, :]) @ s.T          # S diag(v) S^T
@@ -339,83 +332,28 @@ def all_in_one_operator(b0: TTOperator, b1: TTOperator,
                         params: ParamSet) -> TTOperator:
     """Block-diagonal stacking ``I_p x B0 + diag(alpha) x B1`` in TT form.
 
-    The leading core is the 1 x p x p x 2 diagonal selector carrying
-    ``[1, alpha_l]``; interior cores are block-diagonal concatenations of the
-    B0/B1 cores and the final cores are stacked vertically.  No densification
-    happens at any point, and interior bond ranks are exactly the sums of the
-    input bond ranks.
+    The exact sum of two terms: the leading cores are the p x p identity
+    and diag(alpha) selectors, side by side on the first bond; the B0 and B1
+    cores follow as diagonal blocks.  No densification happens at any point,
+    and interior bond ranks are exactly the sums of the input bond ranks.
     """
-    if b0.row_modes != b1.row_modes or b0.col_modes != b1.col_modes:
-        raise TTError("B0 and B1 must share modes")
-    p = params.p
-    alphas = np.asarray(params.values)
-    first = np.zeros((1, p, p, 2))
-    for ell in range(p):
-        first[0, ell, ell, 0] = 1.0
-        first[0, ell, ell, 1] = alphas[ell]
-    d = b0.d
-    cores = [first]
-    for k in range(d):
-        c0, c1 = b0.cores[k], b1.cores[k]
-        a0, n, m, r0 = c0.shape
-        a1, _, _, r1 = c1.shape
-        if k == d - 1:
-            new = np.zeros((a0 + a1, n, m, 1))
-            new[:a0] = c0
-            new[a0:] = c1
-        else:
-            new = np.zeros((a0 + a1, n, m, r0 + r1))
-            new[:a0, :, :, :r0] = c0
-            new[a0:, :, :, r0:] = c1
-        cores.append(new)
-    return make_tt_operator(cores)
+    selector = np.diag(params.values)
+    scaled = make_tt_operator([selector.reshape(1, params.p, params.p, 1),
+                               *b1.cores])
+    return tt_add(kron_leading_identity(params.p, b0), scaled)
 
 
 def all_in_one_rhs(parts) -> TTVector:
     """Stack p tensors along a new leading mode so that slice l is parts[l].
 
-    Cores are zero-padded to a common rank chain, the leading core is the
-    1 x p x p selector, interior cores are block-diagonal and the last cores
-    are stacked vertically.
+    The exact sum of the terms e_l x parts[l]: the leading core is the
+    1 x p x p selector, and the cores of the parts follow as diagonal blocks
+    at their own ranks.
     """
     parts = list(parts)
-    p = len(parts)
-    if p < 1:
-        raise TTError("need at least one part")
-    modes = parts[0].modes
-    for x in parts:
-        if x.modes != modes:
-            raise TTError("all parts must share modes")
-    d = len(modes)
-    # Common rank chain; missing directions are padded with zero blocks.
-    smax = [1] + [max(x.ranks[k] for x in parts) for k in range(1, d)] + [1]
-    padded = []
-    for x in parts:
-        cs = []
-        for k, c in enumerate(x.cores):
-            a, n, b = c.shape
-            new = np.zeros((smax[k], n, smax[k + 1]))
-            new[:a, :, :b] = c
-            cs.append(new)
-        padded.append(cs)
-    selector = np.zeros((1, p, p * smax[0]))
-    for ell in range(p):
-        selector[0, ell, ell] = 1.0
-    cores = [selector]
-    for k in range(d):
-        s_in, s_out = smax[k], smax[k + 1]
-        n = modes[k]
-        if k == d - 1:
-            new = np.zeros((p * s_in, n, 1))
-            for ell in range(p):
-                new[ell * s_in:(ell + 1) * s_in] = padded[ell][k]
-        else:
-            new = np.zeros((p * s_in, n, p * s_out))
-            for ell in range(p):
-                new[ell * s_in:(ell + 1) * s_in, :,
-                    ell * s_out:(ell + 1) * s_out] = padded[ell][k]
-        cores.append(new)
-    return make_tt_vector(cores)
+    selectors = np.eye(len(parts))
+    return tt_add(*(make_tt_vector([e.reshape(1, -1, 1), *x.cores])
+                    for e, x in zip(selectors, parts)))
 
 
 def parametric_convection_diffusion_problem(
@@ -479,7 +417,7 @@ def laplacian_eigen_rhs(g: Grid1D, indices) -> TTVector:
     """Sum of rank-1 eigenvectors of -Lap_3 picked by (j1, j2, j3) triples."""
     n = g.n
     k = np.arange(1, n + 1)
-    total = None
+    terms = []
     for triple in indices:
         if len(triple) != 3:
             raise TTError("expected (j1, j2, j3) index triples")
@@ -489,11 +427,10 @@ def laplacian_eigen_rhs(g: Grid1D, indices) -> TTVector:
                 raise IndexError(f"eigen index {j} outside 1..{n}")
             v = np.sin(j * np.pi * k / (n + 1))
             factors.append(v / np.linalg.norm(v))
-        term = tt_rank_one(factors)
-        total = term if total is None else tt_add(total, term)
-    if total is None:
+        terms.append(tt_rank_one(factors))
+    if not terms:
         raise TTError("need at least one index triple")
-    return total
+    return tt_add(*terms)
 
 
 def laplacian_eigenvalue(g: Grid1D, triple) -> float:

@@ -104,6 +104,10 @@ class GmresConfig:
             raise ValueError("m must be >= 1")
         if self.maxit < self.m:
             raise ValueError("maxit must be >= m")
+        if self.assembly_every < 1:
+            raise ValueError("assembly_every must be >= 1")
+        if self.plateau_window < 0:
+            raise ValueError("plateau_window must be >= 0")
         if self.rounding_policy not in ("constant", "relaxed"):
             raise ValueError(f"unknown rounding policy {self.rounding_policy}")
 

@@ -303,41 +303,46 @@ def _is_operator(x) -> bool:
     return isinstance(x, TTOperator)
 
 
-def tt_add(x, y):
-    """Sum of two TT vectors or two TT operators.
+def tt_add(*terms):
+    """Exact sum of any number of TT vectors, or of TT operators.
 
-    Interior bond ranks add exactly (r_k + s_k); boundary ranks stay 1.
+    First cores are concatenated along the right bond, last cores along the
+    left bond, and interior cores are filled in as diagonal blocks, in the
+    order of the terms.  Interior bond ranks add exactly (r_k + s_k + ...);
+    boundary ranks stay 1.
     """
-    if _is_operator(x) != _is_operator(y):
-        raise ModeMismatchError("cannot add a vector and an operator")
-    if _is_operator(x):
-        if x.row_modes != y.row_modes or x.col_modes != y.col_modes:
-            raise ModeMismatchError(
-                f"operator modes differ: {x.row_modes}x{x.col_modes} vs "
-                f"{y.row_modes}x{y.col_modes}")
-    elif x.modes != y.modes:
-        raise ModeMismatchError(f"modes differ: {x.modes} vs {y.modes}")
+    if not terms:
+        raise TTError("tt_add needs at least one term")
+    x = terms[0]
+    for y in terms[1:]:
+        if _is_operator(x) != _is_operator(y):
+            raise ModeMismatchError("cannot add a vector and an operator")
+        if _is_operator(x):
+            if x.row_modes != y.row_modes or x.col_modes != y.col_modes:
+                raise ModeMismatchError(
+                    f"operator modes differ: {x.row_modes}x{x.col_modes} vs "
+                    f"{y.row_modes}x{y.col_modes}")
+        elif x.modes != y.modes:
+            raise ModeMismatchError(f"modes differ: {x.modes} vs {y.modes}")
     d = x.d
     if d == 1:
-        return _rewrap(x, [x.cores[0] + y.cores[0]])
-    cores = []
-    for k, (cx, cy) in enumerate(zip(x.cores, y.cores)):
-        ax, bx = cx.shape[0], cx.shape[-1]
-        ay, by = cy.shape[0], cy.shape[-1]
-        mid = cx.shape[1:-1]
-        if k == 0:
-            new = np.zeros((1,) + mid + (bx + by,))
-            new[..., :bx] = cx
-            new[..., bx:] = cy
-        elif k == d - 1:
-            new = np.zeros((ax + ay,) + mid + (1,))
-            new[:ax] = cx
-            new[ax:] = cy
-        else:
-            new = np.zeros((ax + ay,) + mid + (bx + by,))
-            new[:ax, ..., :bx] = cx
-            new[ax:, ..., bx:] = cy
+        total = x.cores[0]
+        for y in terms[1:]:
+            total = total + y.cores[0]
+        return _rewrap(x, [total])
+    cores = [np.concatenate([t.cores[0] for t in terms], axis=-1)]
+    for k in range(1, d - 1):
+        blocks = [t.cores[k] for t in terms]
+        new = np.zeros((sum(c.shape[0] for c in blocks),)
+                       + blocks[0].shape[1:-1]
+                       + (sum(c.shape[-1] for c in blocks),))
+        a = b = 0
+        for c in blocks:
+            new[a:a + c.shape[0], ..., b:b + c.shape[-1]] = c
+            a += c.shape[0]
+            b += c.shape[-1]
         cores.append(new)
+    cores.append(np.concatenate([t.cores[-1] for t in terms], axis=0))
     return _rewrap(x, cores)
 
 

@@ -65,6 +65,25 @@ def test_invalid_solver_settings_exit_2(tmp_path, capsys):
     assert err.strip().splitlines()[-1] == "error: maxit must be >= m"
 
 
+@pytest.mark.parametrize("preset,setting,message", [
+    ("poisson_n63", "assembly_every=0", "assembly_every must be >= 1"),
+    ("poisson_n63", "plateau_window=-1", "plateau_window must be >= 0"),
+    ("convdiff_n63", "q=-3", "q: must be >= 0"),
+    ("convdiff_n63", "tau=-1", "tau: must be >= 0"),
+    ("poisson_n63", "seed=-1", "seed: must be >= 0"),
+    ("multi_rhs_poisson_n63_p20", "rank_cap=0", "rank_cap: must be >= 1"),
+    ("eigen_rhs_n31_j10", "j=40", "j: must lie in 1..n-1 for eigen-rhs"),
+])
+def test_invalid_config_values_exit_2(preset, setting, message, tmp_path,
+                                      capsys):
+    code = main(["run", preset, "--set", "n=7", "--set", "precondition=1",
+                 "--set", setting, "--output", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == f"error: {message}"
+
+
 PRESETS = sorted(p.stem for p in presets_dir().glob("*.cfg"))
 SMALL = ["--set", "n=7", "--set", "p=2", "--set", "maxit=10", "--set", "m=10",
          "--set", "q=2", "--set", "j=3"]
@@ -177,6 +196,18 @@ def test_run_row_warns_on_solver_keys_instead_of_failing(tmp_path, capsys):
     assert code == 0
     assert err == ["warning: maxit: not read by experiment prec-sweep; "
                    "the value is ignored"]
+
+
+def test_eigen_rhs_preconditioned_smoke(tmp_path):
+    # One preconditioner serves the stacked system (stacked to its modes)
+    # and the unstacked slow one (as built).
+    code = main(["run", "eigen_rhs_n31_j10", "--set", "n=7", "--set", "j=3",
+                 "--set", "q=2", "--set", "precondition=1",
+                 "--output", str(tmp_path)])
+    manifest = json.loads(
+        (tmp_path / "eigen_rhs_n31_j10_manifest.json").read_text())
+    assert code == 0
+    assert manifest["solves"] == {"": True, "_slow": True}
 
 
 def _direct_traces(out_dir, outcomes):

@@ -185,3 +185,22 @@ def test_selector_follows_the_slice_operators(preconditioned):
     assert report.selector == "gamma"
     report = verify_bounds(OperatorChain(varied), param.rhs, [param.rhs], 1.0)
     assert report.selector == "upsilon"
+
+
+def test_psi_check_uses_the_joint_norm_on_both_sides():
+    # Equal slices (b and 3b under I_2 x A): the psi bound is proved with one
+    # operator norm on both sides, so it must hold at the solver's estimate
+    # of |A| and at the dense 2-norm alike.
+    g = Grid1D(N, -1.0, 1.0)
+    base = convection_diffusion_problem(g)
+    op = kron_leading_identity(2, base.operator)
+    rhs = all_in_one_rhs([base.rhs, tt_scale(base.rhs, 3.0)])
+    cfg = GmresConfig(m=40, maxit=40, epsilon=1e-9, delta=1e-12,
+                      keep_iterates=True)
+    out = tt_right_gmres(op, None, rhs, cfg)
+    assert out.converged
+    for opnorm in (out.estimated_opnorm,
+                   np.linalg.norm(tt_op_to_dense(op), 2)):
+        report = verify_bounds(op, rhs, out.iterates, opnorm)
+        assert report.selector == "gamma"
+        assert report.violations == []

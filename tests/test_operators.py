@@ -343,6 +343,12 @@ class TestAllInOne:
             got = tt_to_dense(tt_slice_first_mode(b, ell))
             np.testing.assert_allclose(got, tt_to_dense(part), atol=1e-13)
 
+    def test_rhs_keeps_each_part_at_its_own_ranks(self):
+        # Exact sum of e_l x parts[l]: bonds add the parts' ranks, unpadded.
+        parts = [tt_random((4, 4, 4), (1, 1, 1, 1), seed=0),
+                 tt_random((4, 4, 4), (1, 3, 2, 1), seed=1)]
+        assert all_in_one_rhs(parts).ranks == (1, 2, 4, 3, 1)
+
     def test_slice_apply_commutes(self):
         # slicing after applying the all-in-one operator equals applying the
         # sliced operator to the sliced vector

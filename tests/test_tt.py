@@ -172,6 +172,33 @@ class TestArithmetic:
         with pytest.raises(ModeMismatchError):
             tt_add(rand_vec((3, 3), (1, 2, 1)), rand_vec((3, 4), (1, 2, 1)))
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_add_many_terms_matches_nested_pairs(self, d):
+        vecs = [rand_vec((3,) * d, (1,) + (r,) * (d - 1) + (1,))
+                for r in (1, 2, 3)]
+        ops = [rand_op((3,) * d, (2,) * d, (1,) + (r,) * (d - 1) + (1,))
+               for r in (2, 1, 3)]
+        for x, y, z in (vecs, ops):
+            nested = tt_add(tt_add(x, y), z)
+            flat = tt_add(x, y, z)
+            assert type(flat) is type(nested)
+            assert len(flat.cores) == len(nested.cores)
+            for a, b in zip(flat.cores, nested.cores):
+                assert np.array_equal(a, b)
+
+    def test_add_needs_a_term(self):
+        with pytest.raises(TTError):
+            tt_add()
+
+    @pytest.mark.parametrize("third", [
+        lambda: rand_op((3, 3), (3, 3), (1, 2, 1)),
+        lambda: rand_vec((3, 4), (1, 2, 1)),
+    ], ids=["kind", "mode"])
+    def test_add_checks_every_term(self, third):
+        x = rand_vec((3, 3), (1, 2, 1))
+        with pytest.raises(ModeMismatchError):
+            tt_add(x, x, third())
+
     def test_scale(self):
         x = rand_vec((3, 4), (1, 2, 1))
         for c in (1.0, 0.0, 2.0):
