@@ -146,6 +146,7 @@ def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
         raise ValueError("need at least one iterate")
     b_slices = [tt_slice_first_mode(b, ell) for ell in range(1, p + 1)]
     b_slice_norms = np.array([tt_norm(bl) for bl in b_slices])
+    bnorm = tt_norm(b)
 
     sub_chains = [OperatorChain([tt_op_diag_slice(f, ell)
                                  for f in chain.factors])
@@ -164,7 +165,7 @@ def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
     ax_slice = np.zeros((n_it, p))
     x_slice_norm = np.zeros((n_it, p))
     for k, x in enumerate(iterates):
-        joint = backward_errors(chain, x, b, opnorm_A)
+        joint = backward_errors(chain, x, b, opnorm_A, bnorm)
         eta_b[k], eta_ab[k], x_norm[k] = \
             joint.eta_b, joint.eta_Ab, joint.x_norm
         for ell in range(p):

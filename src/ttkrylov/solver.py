@@ -311,19 +311,22 @@ class BackwardErrors:
                                      repr=False)
 
 
-def backward_errors(a, x: TTVector, b: TTVector,
-                    opnorm: float) -> BackwardErrors:
+def backward_errors(a, x: TTVector, b: TTVector, opnorm: float,
+                    bnorm: float | None = None) -> BackwardErrors:
     """eta_b and eta_Ab of the iterate x for A x = b.
 
     `a` is an operator or a chain; for a chain ending in a preconditioner,
-    x is the preconditioned iterate and `opnorm` estimates |A M|.  The
-    product A x is formed in TT arithmetic, rounded at working precision
-    only, and returned as `product` with the norms |b - A x| and |x|; it
-    takes no part in equality.
+    x is the preconditioned iterate and `opnorm` estimates |A M|.  `bnorm`
+    is |b|, taken here when not given; a caller that judges many iterates
+    of one system norms b once.  The product A x is formed in TT
+    arithmetic, rounded at working precision only, and returned as
+    `product` with the norms |b - A x| and |x|; it takes no part in
+    equality.
     """
     if opnorm < 0:
         raise ValueError("opnorm must be >= 0")
-    bnorm = tt_norm(b)
+    if bnorm is None:
+        bnorm = tt_norm(b)
     if bnorm == 0:
         raise ValueError("rhs has zero norm")
     ax = _as_chain(a).apply(x, delta=WORKING_PRECISION)
@@ -439,8 +442,8 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
                                              WORKING_PRECISION)
             # Only the norms are kept: the product would otherwise stay
             # alive through the next iteration's mat-vec.
-            eta = replace(backward_errors(chain, x, b, out.estimated_opnorm),
-                          product=None)
+            eta = replace(backward_errors(chain, x, b, out.estimated_opnorm,
+                                          beta), product=None)
             if cfg.keep_iterates:
                 out.iterates.append(x)
 

@@ -375,31 +375,36 @@ def _carry_right(carry: np.ndarray, core: np.ndarray) -> np.ndarray:
     return (carry @ core.reshape(a, n * b)).reshape(carry.shape[0], n, b)
 
 
-def _right_orthogonalize(cores: list[np.ndarray]) -> list[np.ndarray]:
-    """Make cores[1:] row-orthonormal in their (r_{k-1}, n_k r_k) unfolding.
+def _right_r_sweep(cores):
+    """Right-to-left QR sweep that keeps only the triangular factors.
 
-    Returns a new list; the input cores are only read.
+    Returns (first, rs).  For k >= 1, rs[k] is the R factor of core k with
+    rs[k+1]^T absorbed (geqrf alone, ``mode="r"``: no Q is formed), so
+    cores k, ..., d-1 contract to rs[k]^T times a row-orthonormal matrix;
+    first is core 0 with rs[1]^T absorbed.  The input cores are only read.
     """
-    cores = list(cores)
+    rs = [None] * len(cores)
+    core = cores[-1]
     for k in range(len(cores) - 1, 0, -1):
-        a, n, b = cores[k].shape
-        q, r = np.linalg.qr(cores[k].reshape(a, n * b).T)
-        cores[k] = q.T.reshape(q.shape[1], n, b)
+        a, n, b = core.shape
+        rs[k] = np.linalg.qr(core.reshape(a, n * b).T, mode="r")
         p, m, _ = cores[k - 1].shape
-        cores[k - 1] = (cores[k - 1].reshape(p * m, a) @ r.T).reshape(p, m, -1)
-    return cores
+        core = (cores[k - 1].reshape(p * m, a) @ rs[k].T).reshape(p, m, -1)
+    return core, rs
 
 
 def tt_norm(x: TTVector) -> float:
     """Frobenius norm, sqrt(<x, x>).
 
-    Evaluated through a right-orthogonalization sweep rather than the Gram
-    recursion: on cancellation-heavy inputs (residuals of nearly-consistent
-    systems) this keeps the absolute error at eps * |cores| instead of
-    eps * |cores|^2, and it cannot go negative.
+    Evaluated as |core 0| after a right-to-left sweep that keeps only the
+    R factors of each core's QR (the Q factors are orthonormal and never
+    formed), rather than by the Gram recursion: on cancellation-heavy
+    inputs (residuals of nearly-consistent systems) this keeps the
+    absolute error at eps * |cores| instead of eps * |cores|^2, and it
+    cannot go negative.
     """
-    cores = _right_orthogonalize(list(x.cores))
-    return float(np.linalg.norm(cores[0]))
+    first, _ = _right_r_sweep(x.cores)
+    return float(np.linalg.norm(first))
 
 
 def _cap_left_bonds(cores: list[np.ndarray]) -> list[np.ndarray]:
@@ -425,28 +430,43 @@ def _round_cores(cores: list[np.ndarray], delta: float) -> list[np.ndarray]:
     d = len(cores)
     if d == 1:
         return [cores[0]]
-    cores = _right_orthogonalize(_cap_left_bonds(cores))
-    nrm = np.linalg.norm(cores[0])
+    cores = _cap_left_bonds(cores)
+    first, rs = _right_r_sweep(cores)
+    nrm = np.linalg.norm(first)
     if nrm == 0.0:
         return [np.zeros((1, c.shape[1], 1)) for c in cores]
     tau = delta * nrm / np.sqrt(d - 1)
+    out = []
+    m = cores[0]
     for k in range(d - 1):
-        a, n, b = cores[k].shape
-        u, s, vt = np.linalg.svd(cores[k].reshape(a * n, b),
-                                 full_matrices=False)
+        # m is core k with the carry applied, in the original right basis;
+        # m @ rs[k+1]^T is the unfolding the Q-forming sweep would SVD.
+        a, n, b = m.shape
+        m = m.reshape(a * n, b)
+        w = first.reshape(n, -1) if k == 0 else m @ rs[k + 1].T
+        u, s, _ = np.linalg.svd(w, full_matrices=False)
         r = _min_rank_for_tail(s, tau)
-        cores[k] = u[:, :r].reshape(a, n, r)
-        cores[k + 1] = _carry_right(s[:r, None] * vt[:r], cores[k + 1])
-    return cores
+        u = u[:, :r]
+        out.append(u.reshape(a, n, r))
+        m = _carry_right(u.T @ m, cores[k + 1])
+    out.append(m)
+    return out
 
 
 def tt_round(x, delta: float):
     """Recompress to relative accuracy delta.
 
     Leading bonds above their natural cap r_{k-1} n_k are first cut by an
-    exact left QR sweep; then right-to-left QR orthogonalization and a
-    left-to-right truncated SVD sweep with per-core cutoff
-    ``delta * |x| / sqrt(d - 1)``.  Ranks never increase;
+    exact left QR sweep.  A right-to-left sweep then keeps only the R
+    factor R_k of each core's QR (core k with R_{k+1}^T absorbed); no Q is
+    formed.  The left-to-right sweep takes M_k, core k with the carry
+    applied, in its original basis, and truncates the SVD of
+    M_k R_{k+1}^T with per-core cutoff ``delta * |x| / sqrt(d - 1)``: the
+    kept left singular vectors U_r become core k and U_r^T M_k is carried
+    into core k+1.  As the cores right of bond k contract to R_{k+1}^T
+    times a row-orthonormal matrix, M_k R_{k+1}^T has the singular values
+    of the full unfolding at that bond, so this is the QR-then-SVD
+    rounding of Oseledets (SISC 2011).  Ranks never increase;
     ``|x - round(x)| <= delta * |x|``.
     """
     if delta < 0:

@@ -3,7 +3,8 @@ and reference constructions that the package's faster builders replaced."""
 
 import numpy as np
 
-from ttkrylov import make_tt_operator, tt_round
+from ttkrylov import TTOperator, make_tt_operator, make_tt_vector, tt_round
+from ttkrylov.tt import _cap_left_bonds, _carry_right, _min_rank_for_tail
 
 
 def dense_from_cores(cores):
@@ -128,3 +129,59 @@ def fused_mode_preconditioner(d, g, q, tau):
                 core[t, :, :, t] = e
         cores.append(core)
     return tt_round(make_tt_operator(cores), tau)
+
+
+def right_orthogonalize(cores):
+    """Make cores[1:] row-orthonormal in their (r_{k-1}, n_k r_k) unfolding.
+
+    Returns a new list; the input cores are only read.
+    """
+    cores = list(cores)
+    for k in range(len(cores) - 1, 0, -1):
+        a, n, b = cores[k].shape
+        q, r = np.linalg.qr(cores[k].reshape(a, n * b).T)
+        cores[k] = q.T.reshape(q.shape[1], n, b)
+        p, m, _ = cores[k - 1].shape
+        cores[k - 1] = (cores[k - 1].reshape(p * m, a) @ r.T).reshape(p, m, -1)
+    return cores
+
+
+def round_cores_forming_q(cores, delta):
+    """QR-then-SVD rounding (Oseledets, SISC 2011) with every Q formed.
+
+    The reference for the package's R-only sweep: right-orthogonalize
+    explicitly, then truncate the SVD of each orthogonalized core.
+    """
+    d = len(cores)
+    if d == 1:
+        return [cores[0]]
+    cores = right_orthogonalize(_cap_left_bonds(cores))
+    nrm = np.linalg.norm(cores[0])
+    if nrm == 0.0:
+        return [np.zeros((1, c.shape[1], 1)) for c in cores]
+    tau = delta * nrm / np.sqrt(d - 1)
+    for k in range(d - 1):
+        a, n, b = cores[k].shape
+        u, s, vt = np.linalg.svd(cores[k].reshape(a * n, b),
+                                 full_matrices=False)
+        r = _min_rank_for_tail(s, tau)
+        cores[k] = u[:, :r].reshape(a, n, r)
+        cores[k + 1] = _carry_right(s[:r, None] * vt[:r], cores[k + 1])
+    return cores
+
+
+def tt_round_forming_q(x, delta):
+    """tt_round by round_cores_forming_q, for vectors and operators."""
+    if isinstance(x, TTOperator):
+        fused = [c.reshape(c.shape[0], c.shape[1] * c.shape[2], c.shape[3])
+                 for c in x.cores]
+        rounded = round_cores_forming_q(fused, delta)
+        return make_tt_operator(
+            [r.reshape(r.shape[0], c.shape[1], c.shape[2], r.shape[2])
+             for r, c in zip(rounded, x.cores)])
+    return make_tt_vector(round_cores_forming_q(list(x.cores), delta))
+
+
+def tt_norm_forming_q(x):
+    """Frobenius norm as |core 0| after an explicit right-orthogonalization."""
+    return float(np.linalg.norm(right_orthogonalize(list(x.cores))[0]))

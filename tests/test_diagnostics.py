@@ -3,6 +3,7 @@ import pytest
 
 from ttkrylov import (tt_op_diag_slice, tt_op_to_dense, tt_slice_first_mode,
                       tt_to_dense)
+from ttkrylov import diagnostics, solver
 from ttkrylov.diagnostics import BoundParams, backward_errors, verify_bounds
 from ttkrylov.operators import (
     Grid1D,
@@ -72,6 +73,28 @@ def test_backward_errors_match_dense(solved):
             be.eta_Ab, r / (opnorm * np.linalg.norm(xd)
                             + np.linalg.norm(bd)))
 
+
+
+def test_backward_errors_take_a_given_rhs_norm(solved):
+    chain, b, iterates, a = solved
+    opnorm = np.linalg.norm(a, 2)
+    for x in iterates:
+        assert backward_errors(chain, x, b, opnorm, tt_norm(b)) == \
+            backward_errors(chain, x, b, opnorm)
+
+
+def test_verify_bounds_norms_the_rhs_once(solved, monkeypatch):
+    chain, b, iterates, a = solved
+    calls = []
+
+    def spy(x):
+        calls.append(x is b)
+        return tt_norm(x)
+
+    monkeypatch.setattr(diagnostics, "tt_norm", spy)
+    monkeypatch.setattr(solver, "tt_norm", spy)
+    verify_bounds(chain, b, iterates, np.linalg.norm(a, 2))
+    assert sum(calls) == 1
 
 def test_backward_errors_on_a_slice(solved):
     chain, b, iterates, a = solved

@@ -8,6 +8,7 @@ from ttkrylov import (
     ModeMismatchError,
     RankChainError,
     TTError,
+    TTOperator,
     make_tt_operator,
     make_tt_vector,
     storage_stats,
@@ -30,6 +31,7 @@ from ttkrylov import (
     tt_to_dense,
     tt_zero,
 )
+from ttkrylov import tt as tt_module
 from ttkrylov.tt import _min_rank_for_tail, dense_budget
 
 from oracles import (
@@ -37,6 +39,8 @@ from oracles import (
     dense_op_from_cores,
     kron_sum,
     min_rank_for_tail_loop,
+    tt_norm_forming_q,
+    tt_round_forming_q,
 )
 
 rng = np.random.default_rng(2024)
@@ -322,18 +326,27 @@ def natural_caps(modes):
 
 
 @st.composite
-def inflated_sums(draw):
-    """Sums of 2-6 random TTs whose bonds exceed their natural caps."""
-    d = draw(st.integers(2, 4))
+def inflated_sums(draw, min_d=2, operator=False):
+    """Sums of 2-6 random TTs whose bonds exceed their natural caps.
+
+    With `operator`, the terms are TT operators, each core's row and column
+    modes drawn apart, and the caps are those of the fused modes.
+    """
+    d = draw(st.integers(min_d, 4))
     modes = tuple(draw(st.lists(st.integers(1, 3), min_size=d, max_size=d)))
-    caps = natural_caps(modes)
+    shapes = [(n,) for n in modes]
+    if operator:
+        cols = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+        shapes = list(zip(modes, cols))
+    caps = natural_caps([int(np.prod(s)) for s in shapes])
     r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     terms = []
     for _ in range(draw(st.integers(2, 6))):
         ranks = [1] + [int(r.integers(1, c + 1)) for c in caps] + [1]
-        terms.append(make_tt_vector(
-            [r.standard_normal((ranks[k], n, ranks[k + 1]))
-             for k, n in enumerate(modes)]))
+        cores = [r.standard_normal((ranks[k],) + s + (ranks[k + 1],))
+                 for k, s in enumerate(shapes)]
+        terms.append(make_tt_operator(cores) if operator
+                     else make_tt_vector(cores))
     x = terms[0]
     for t in terms[1:]:
         x = tt_add(x, t)
@@ -358,6 +371,83 @@ class TestRoundProperties:
         exact = tt_round(x, 0.0)
         err0 = np.linalg.norm(dense_from_cores(exact.cores) - ref)
         assert err0 <= 1e-12 * nrm
+
+
+def _dense(x):
+    return tt_op_to_dense(x) if isinstance(x, TTOperator) else tt_to_dense(x)
+
+
+class TestRoundMatchesQFormingSweep:
+    """tt_round keeps only R factors; the reference forms every Q."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(inflated_sums(min_d=1),
+                     inflated_sums(min_d=1, operator=True)),
+           st.sampled_from([0.0, 1e-10, 1e-4, 0.3]))
+    def test_same_ranks_and_tensor(self, x, delta):
+        z = tt_round(x, delta)
+        ref = tt_round_forming_q(x, delta)
+        assert z.ranks == ref.ranks
+        nrm = np.linalg.norm(_dense(x))
+        assert np.linalg.norm(_dense(z) - _dense(ref)) <= 1e-12 * nrm
+
+    def test_cancellation(self):
+        # (x + 1e-9 z) - x keeps the bonds of both x terms, whose parts
+        # cancel to 1e-9 z; the exact result is 1e-9 z.  Both sweeps lose
+        # about eps |x| to the cancellation, up to ~1e-6 of the result,
+        # so they are compared over a set of inputs: never more than twice
+        # the reference's error, and no larger on geometric average.
+        ratios = []
+        for seed in range(40):
+            r = np.random.default_rng(seed)
+            d = int(r.integers(1, 5))
+            modes = tuple(int(n) for n in r.integers(2, 6, size=d))
+            x = rand_vec(modes, [1, *r.integers(1, 4, size=d - 1), 1],
+                         seed=r.integers(2**32))
+            z = rand_vec(modes, [1, *r.integers(1, 3, size=d - 1), 1],
+                         seed=r.integers(2**32))
+            y = tt_add(x, tt_scale(z, 1e-9), tt_scale(x, -1.0))
+            exact = 1e-9 * tt_to_dense(z)
+            errs = [np.linalg.norm(tt_to_dense(f(y, 1e-13)) - exact)
+                    for f in (tt_round, tt_round_forming_q)]
+            assert errs[0] <= 1e-13 * tt_norm(x)
+            ratios.append(errs[0] / errs[1])
+        assert max(ratios) <= 2.0
+        assert np.exp(np.mean(np.log(ratios))) <= 1.0
+
+    @pytest.mark.parametrize("x", [
+        tt_zero((3, 4, 2)),
+        tt_zero((5,)),
+        rand_vec((6,), (1, 1), seed=3),
+        rand_vec((4, 5, 6), (1, 3, 2, 1), seed=4),
+        rand_vec((2, 3, 2, 3), (1, 2, 6, 3, 1), seed=5),
+        tt_add(rand_vec((5, 5, 5), (1, 3, 3, 1), seed=1),
+               tt_scale(rand_vec((5, 5, 5), (1, 1, 1, 1), seed=2), 1e-9),
+               tt_scale(rand_vec((5, 5, 5), (1, 3, 3, 1), seed=1), -1.0)),
+    ], ids=["zero", "zero-d1", "d1", "d3", "d4", "cancellation"])
+    def test_norm(self, x):
+        ref = tt_norm_forming_q(x)
+        assert abs(tt_norm(x) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("x", [
+        rand_vec((4, 5, 6), (1, 3, 2, 1), seed=6),
+        tt_add(rand_vec((6, 6, 6), (1, 3, 3, 1), seed=7),
+               rand_vec((6, 6, 6), (1, 2, 2, 1), seed=8)),
+        rand_op((3, 3, 3), (3, 3, 3), (1, 4, 4, 1), seed=9),
+    ], ids=["vector", "sum", "operator"])
+    def test_no_q_is_formed(self, x, monkeypatch):
+        modes = []
+        qr = tt_module.np.linalg.qr
+
+        def spy(a, mode="reduced"):
+            modes.append(mode)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(tt_module.np.linalg, "qr", spy)
+        tt_round(x, 1e-8)
+        if not isinstance(x, TTOperator):
+            tt_norm(x)
+        assert modes and set(modes) == {"r"}
 
 
 class TestOperator:
