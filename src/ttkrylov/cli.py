@@ -48,6 +48,7 @@ from .solver import (
     GmresConfig,
     OperatorChain,
     estimate_l2_norm,
+    judge_accuracy,
     tt_right_gmres,
 )
 from .tt import TTError
@@ -355,10 +356,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
             if cfg.bounds:
                 with _phase(phases, "diagnose"):
                     chain = [operator] if m is None else [operator, m]
-                    report = verify_bounds(OperatorChain(chain), rhs,
-                                           outcome.iterates,
-                                           outcome.estimated_opnorm,
-                                           seed=cfg.seed)
+                    report = verify_bounds(
+                        OperatorChain(chain), rhs, outcome.iterates,
+                        outcome.estimated_opnorm, seed=cfg.seed,
+                        accuracy=judge_accuracy(gcfg.epsilon))
 
             with _phase(phases, "write"):
                 files.extend(emit_trace(outcome, report,

@@ -12,7 +12,13 @@ joint backward error:
 
 The stacked operator is block diagonal, so each slice product A_l x^[l] is
 an exact slice of the joint product A x: one product per iterate gives the
-joint and every per-slice residual, with no slice operator applied.
+joint and every per-slice residual, with no slice operator applied.  Each
+iterate is judged as the solver judges it, at the accuracy tau the solver
+used (its M x rounded at tau, the last product exact and never rounded), so
+the report's joint eta is the trace's.  The joint and per-slice norms of x,
+A x and b - A x come from one right-to-left R sweep of each of them
+(tt_first_mode_norms): no slice is formed and no iterate's vector is swept
+twice.
 
 Operator norms are sampled estimates; the per-slice estimates are augmented
 with the Rayleigh quotients of the iterates themselves so the inequalities
@@ -29,16 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import (NORM_SAMPLES, BackwardErrors, OperatorChain, _as_chain,
-                     backward_errors, estimate_l2_norm)
-from .tt import (
-    TTVector,
-    tt_add,
-    tt_norm,
-    tt_op_diag_slice,
-    tt_scale,
-    tt_slice_first_mode,
-)
+from .solver import (NORM_SAMPLES, WORKING_PRECISION, BackwardErrors,
+                     OperatorChain, _as_chain, backward_errors,
+                     estimate_l2_norm)
+from .tt import TTVector, tt_first_mode_norms, tt_norm, tt_op_diag_slice
 
 __all__ = [
     "BackwardErrors",
@@ -119,17 +119,18 @@ def _detect_k_star(ax_norm_hist: np.ndarray, window: int = 3,
 
 
 def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
-                  opnorm_Ainv: float | None = None,
-                  seed: int = 0) -> BoundReport:
+                  opnorm_Ainv: float | None = None, seed: int = 0,
+                  accuracy: float = WORKING_PRECISION) -> BoundReport:
     """Evaluate the per-slice backward-error bounds along a solve.
 
     `a` is the all-in-one operator or chain (operator + preconditioner);
     `iterates` the assembled iterates per iteration (preconditioned
     variable when a preconditioner is part of the chain).  The joint
-    product A x of each iterate is formed once, by backward_errors; as the
-    stacked operator is block diagonal, A_l x^[l] is its l-th slice, taken
-    exactly, so the slice residuals are slices of the joint residual.
-    Checks, per iteration and slice:
+    product A x of each iterate is formed once, by backward_errors at
+    `accuracy` (pass the solver's judge_accuracy(epsilon) to judge as the
+    trace did); as the stacked operator is block diagonal, A_l x^[l] is its
+    l-th slice, so the slice norms of A x and b - A x are those of A_l
+    x^[l] and of the slice residuals.  Checks, per iteration and slice:
 
       * eta_b * sqrt(p) >= eta_b_l
       * eta_Ab * rho_l  >= eta_Ab_l
@@ -144,8 +145,7 @@ def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
     n_it = len(iterates)
     if n_it == 0:
         raise ValueError("need at least one iterate")
-    b_slices = [tt_slice_first_mode(b, ell) for ell in range(1, p + 1)]
-    b_slice_norms = np.array([tt_norm(bl) for bl in b_slices])
+    b_slice_norms = tt_first_mode_norms(b)
     bnorm = tt_norm(b)
 
     sub_chains = [OperatorChain([tt_op_diag_slice(f, ell)
@@ -165,15 +165,12 @@ def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
     ax_slice = np.zeros((n_it, p))
     x_slice_norm = np.zeros((n_it, p))
     for k, x in enumerate(iterates):
-        joint = backward_errors(chain, x, b, opnorm_A, bnorm)
+        joint = backward_errors(chain, x, b, opnorm_A, bnorm, accuracy)
         eta_b[k], eta_ab[k], x_norm[k] = \
             joint.eta_b, joint.eta_Ab, joint.x_norm
-        for ell in range(p):
-            ax_l = tt_slice_first_mode(joint.product, ell + 1)
-            ax_slice[k, ell] = tt_norm(ax_l)
-            res_slice[k, ell] = tt_norm(
-                tt_add(ax_l, tt_scale(b_slices[ell], -1.0)))
-            x_slice_norm[k, ell] = tt_norm(tt_slice_first_mode(x, ell + 1))
+        res_slice[k] = joint.residual_slice_norms
+        x_slice_norm[k] = joint.x_slice_norms
+        ax_slice[k] = tt_first_mode_norms(joint.product)
 
     # Sampled slice norms, sharpened with every iterate's Rayleigh quotient.
     rayleigh = np.divide(ax_slice, x_slice_norm,

@@ -14,9 +14,19 @@ each cycle solves A M t = r for r = round(b - A M u, delta), then
 u = round(u + t, delta), and the solution is x = round(M u, delta), formed
 once at the end.  Every iteration is logged as an IterationRecord; its eta
 is the normwise backward error, from backward_errors, of the assembled
-iterate x = round(u + t, WORKING_PRECISION) (x = t in the first cycle) on
-the whole system A M x = b, and convergence is judged on it.  Rounding the
-sum keeps A M from being applied at rank r_u + r_t.
+iterate x = round(u + t, tau) (x = t in the first cycle) on the whole
+system A M x = b, and convergence is judged on it.  Rounding the sum keeps
+A M from being applied at rank r_u + r_t.
+
+The judge works at the precision its verdict needs,
+tau = max(WORKING_PRECISION, JUDGE_ACCURACY * epsilon).  It rounds M x at
+tau, forms the last product A (M x) exactly and norms b - A M x with one
+R sweep, so the residual is exact for the vector it judges; without a
+preconditioner it rounds nothing.  The rounding of M x moves the residual
+by at most tau |A| |M x|; against a judge at WORKING_PRECISION it moved
+eta by at most 0.4 tau on the measured presets.  The constant policy
+stops only when eta < epsilon - tau, a margin that keeps the certificate
+under that perturbation.
 
 To keep intermediate bond ranks bounded on long cycles, the MGS subtraction
 loop and the iterate accumulation apply stabilization roundings at
@@ -45,6 +55,7 @@ from .tt import (
     storage_stats,
     tt_add,
     tt_apply,
+    tt_first_mode_norms,
     tt_inner,
     tt_norm,
     tt_random,
@@ -60,6 +71,7 @@ __all__ = [
     "OperatorChain",
     "BackwardErrors",
     "backward_errors",
+    "judge_accuracy",
     "hessenberg_lsq",
     "estimate_l2_norm",
     "tt_gmres",
@@ -69,6 +81,10 @@ __all__ = [
 
 #: rounding accuracy used where the algorithm calls for exact arithmetic
 WORKING_PRECISION = 1e-13
+#: the solver judges its iterates at this fraction of epsilon (no finer
+#: than WORKING_PRECISION), and the constant policy stops below epsilon
+#: minus that accuracy
+JUDGE_ACCURACY = 1e-3
 #: random vectors, and their bond rank, of the sampled L2-norm estimate
 NORM_SAMPLES = 10
 SAMPLE_RANK = 2
@@ -85,7 +101,9 @@ class GmresConfig:
     """Solver knobs; see the field comments for semantics."""
 
     m: int = 25                       # restart length (iterations per cycle)
-    epsilon: float = 1e-5             # threshold on eta_Ab (relaxed: eta~_b)
+    epsilon: float = 1e-5             # stop when eta_Ab < epsilon - tau,
+    #                                   tau = judge_accuracy(epsilon)
+    #                                   (relaxed: eta~_b < epsilon)
     delta: float = 1e-5               # rounding accuracy
     maxit: int = 100                  # global iteration cap
     rounding_policy: str = "constant"   # constant | relaxed
@@ -164,7 +182,7 @@ class OperatorChain:
 
     Never pre-composes the factors into one TT operator (the bond ranks would
     multiply); a preconditioned application A(M x) is two contractions with
-    one rounding between them.
+    one rounding between them, and the last contraction is never rounded.
     """
 
     def __init__(self, factors):
@@ -185,12 +203,16 @@ class OperatorChain:
         return self.factors[-1].col_modes
 
     def apply(self, x: TTVector, delta: float | None = None) -> TTVector:
-        """Apply the chain; round at delta after each contraction if given."""
-        for op in reversed(self.factors):
+        """Apply the chain; round at delta between contractions if given.
+
+        The product of the last (leftmost) factor is exact: a caller that
+        needs it rounded rounds it, and one that only norms it does not.
+        """
+        for op in reversed(self.factors[1:]):
             x = tt_apply(op, x)
             if delta is not None:
                 x = tt_round(x, delta)
-        return x
+        return tt_apply(self.factors[0], x)
 
 
 def _as_chain(op) -> OperatorChain:
@@ -301,7 +323,13 @@ def estimate_l2_norm(op, samples: int = NORM_SAMPLES,
 
 @dataclass(frozen=True)
 class BackwardErrors:
-    """Normwise backward errors of one iterate on one system."""
+    """Normwise backward errors of one iterate on one system.
+
+    The by-products take no part in equality: `product` is A x, and
+    `residual_slice_norms` and `x_slice_norms` are the norms of the slices
+    of b - A x and x along the first mode, from the sweeps that gave
+    `residual_norm` and `x_norm`.
+    """
 
     eta_b: float
     eta_Ab: float
@@ -309,19 +337,32 @@ class BackwardErrors:
     x_norm: float
     product: TTVector | None = field(default=None, compare=False,
                                      repr=False)
+    residual_slice_norms: np.ndarray | None = field(default=None,
+                                                    compare=False, repr=False)
+    x_slice_norms: np.ndarray | None = field(default=None, compare=False,
+                                             repr=False)
+
+
+def judge_accuracy(epsilon: float) -> float:
+    """The accuracy tau the solver judges at for the threshold epsilon."""
+    return max(WORKING_PRECISION, JUDGE_ACCURACY * epsilon)
 
 
 def backward_errors(a, x: TTVector, b: TTVector, opnorm: float,
-                    bnorm: float | None = None) -> BackwardErrors:
+                    bnorm: float | None = None,
+                    accuracy: float = WORKING_PRECISION) -> BackwardErrors:
     """eta_b and eta_Ab of the iterate x for A x = b.
 
     `a` is an operator or a chain; for a chain ending in a preconditioner,
     x is the preconditioned iterate and `opnorm` estimates |A M|.  `bnorm`
     is |b|, taken here when not given; a caller that judges many iterates
-    of one system norms b once.  The product A x is formed in TT
-    arithmetic, rounded at working precision only, and returned as
-    `product` with the norms |b - A x| and |x|; it takes no part in
-    equality.
+    of one system norms b once.  The product A x is formed by
+    `a.apply(x, accuracy)`: rounded at `accuracy` between the factors of
+    a chain, the last factor's product exact.  It is never rounded, and
+    b - A x is normed by one R sweep, so the residual is exact for the
+    vector judged; a single operator rounds nothing.  The product is
+    returned as `product`, with the norms of b - A x and x and of their
+    first-mode slices (tt_first_mode_norms).
     """
     if opnorm < 0:
         raise ValueError("opnorm must be >= 0")
@@ -329,15 +370,19 @@ def backward_errors(a, x: TTVector, b: TTVector, opnorm: float,
         bnorm = tt_norm(b)
     if bnorm == 0:
         raise ValueError("rhs has zero norm")
-    ax = _as_chain(a).apply(x, delta=WORKING_PRECISION)
-    rnorm = tt_norm(tt_add(b, tt_scale(ax, -1.0)))
-    xnorm = tt_norm(x)
+    ax = _as_chain(a).apply(x, accuracy)
+    r_slices = tt_first_mode_norms(tt_add(b, tt_scale(ax, -1.0)))
+    x_slices = tt_first_mode_norms(x)
+    rnorm = float(np.linalg.norm(r_slices))
+    xnorm = float(np.linalg.norm(x_slices))
     return BackwardErrors(
         eta_b=rnorm / bnorm,
         eta_Ab=rnorm / (opnorm * xnorm + bnorm),
         residual_norm=rnorm,
         x_norm=xnorm,
         product=ax,
+        residual_slice_norms=r_slices,
+        x_slice_norms=x_slices,
     )
 
 
@@ -377,8 +422,8 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
 
     Runs at most cfg.m iterations, and no more than cfg.maxit in total, and
     appends each iteration's record to `out` (with cfg.keep_iterates, each
-    assembled iterate round(u + t, WORKING_PRECISION) too).  Returns
-    (t, stop): t is the least-squares update of the last iteration,
+    assembled iterate round(u + t, tau) too, tau = judge_accuracy(epsilon)).
+    Returns (t, stop): t is the least-squares update of the last iteration,
     assembled on exit if that iteration was not, and stop is None
     (restart), "converged", "plateaued" or "stagnated".
 
@@ -394,6 +439,7 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
     dense_entries = storage_stats(r).dense_entries
     preconditioned = len(chain.factors) > 1
     relaxed = cfg.rounding_policy == "relaxed"
+    tau = judge_accuracy(cfg.epsilon)
     v = [tt_scale(r, 1.0 / r_norm)]
     lsq = GivensLsq(r_norm)
     eta_hist = []
@@ -412,7 +458,7 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
         # step whose term lies inside its own tolerance is skipped.
         stab = delta_k / (4.0 * k)
 
-        w = chain.apply(v[-1], delta=delta_k)
+        w = tt_round(chain.apply(v[-1], delta_k), delta_k)
         w_low = tt_norm(w)
         col = np.zeros(k + 1)
         for i in range(k):
@@ -438,12 +484,11 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
         eta = BackwardErrors(math.nan, math.nan, math.nan, math.nan)
         if assemble:
             t = _accumulate(v, lsq.solve(), stab, delta_k)
-            x = t if u is None else tt_round(tt_add(u, t),
-                                             WORKING_PRECISION)
+            x = t if u is None else tt_round(tt_add(u, t), tau)
             # Only the norms are kept: the product would otherwise stay
             # alive through the next iteration's mat-vec.
             eta = replace(backward_errors(chain, x, b, out.estimated_opnorm,
-                                          beta), product=None)
+                                          beta, tau), product=None)
             if cfg.keep_iterates:
                 out.iterates.append(x)
 
@@ -465,11 +510,12 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
         ))
 
         # The relaxed policy stops on the least-squares residual, which
-        # needs no assembled iterate; the constant one on eta_Ab.
+        # needs no assembled iterate; the constant one on eta_Ab, judged at
+        # tau, with a margin of tau below epsilon.
         crit = eta_tilde if relaxed else eta.eta_Ab
         if not math.isnan(crit):
             eta_hist.append(crit)
-            if crit < cfg.epsilon:
+            if crit < (cfg.epsilon if relaxed else cfg.epsilon - tau):
                 stop = "converged"
                 break
         if breakdown:
@@ -522,13 +568,15 @@ def tt_right_gmres(a, m: TTOperator | None, b: TTVector,
     run a cycle on A M t = r for up to cfg.m iterations; u = round(u + t,
     delta).  It returns x = round(M u, delta), or u without a
     preconditioner, with the trace of all cycles.  Each trace row's eta is
-    the backward error of the assembled iterate x = round(u + t,
-    WORKING_PRECISION) on the whole system A M x = b.  Two events raise
-    meta["stagnated"] and stop the solve unconverged: a cycle that fails to
-    shrink the outer residual by 1e-14 relative, and a hard breakdown
-    inside a cycle (see _gmres_cycle).  meta["plateaued"] reports a plateau
-    stop and meta["cycles"] the cycle count.  With cfg.keep_basis,
-    meta["bases"] holds each cycle's Krylov basis.
+    the backward error of the assembled iterate x = round(u + t, tau) on
+    the whole system A M x = b, judged at tau = judge_accuracy(epsilon);
+    the constant policy converges when it falls below epsilon - tau.  The
+    restart residual forms A M u with M u rounded at WORKING_PRECISION.
+    Two events raise meta["stagnated"] and stop the solve unconverged: a
+    cycle that fails to shrink the outer residual by 1e-14 relative, and a
+    hard breakdown inside a cycle (see _gmres_cycle).  meta["plateaued"]
+    reports a plateau stop and meta["cycles"] the cycle count.  With
+    cfg.keep_basis, meta["bases"] holds each cycle's Krylov basis.
     """
     op = _as_chain(a)
     chain = op if m is None else OperatorChain(op.factors + (m,))
@@ -547,8 +595,8 @@ def tt_right_gmres(a, m: TTOperator | None, b: TTVector,
     r, r_norm = b, beta
     while out.iterations < cfg.maxit:
         if u is not None:
-            r = tt_round(tt_add(b, tt_scale(chain.apply(u), -1.0)),
-                         cfg.delta)
+            r = tt_round(tt_add(b, tt_scale(
+                chain.apply(u, WORKING_PRECISION), -1.0)), cfg.delta)
             prev_norm, r_norm = r_norm, tt_norm(r)
             if r_norm > prev_norm * (1.0 - 1e-14):
                 out.meta["stagnated"] = True

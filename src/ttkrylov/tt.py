@@ -40,6 +40,7 @@ __all__ = [
     "tt_scale",
     "tt_inner",
     "tt_norm",
+    "tt_first_mode_norms",
     "tt_round",
     "tt_apply",
     "tt_op_compose",
@@ -405,6 +406,18 @@ def tt_norm(x: TTVector) -> float:
     """
     first, _ = _right_r_sweep(x.cores)
     return float(np.linalg.norm(first))
+
+
+def tt_first_mode_norms(x: TTVector) -> np.ndarray:
+    """Norms of the n_1 slices of x along its first mode, from one sweep.
+
+    After tt_norm's right-to-left R sweep, cores 1, ..., d-1 contract to a
+    row-orthonormal matrix, so slice l of x has the norm of row l of the
+    swept first core.  Entry l-1 is the norm of tt_slice_first_mode(x, l);
+    the norm of the returned array is |x|.
+    """
+    first, _ = _right_r_sweep(x.cores)
+    return np.linalg.norm(first[0], axis=1)
 
 
 def _cap_left_bonds(cores: list[np.ndarray]) -> list[np.ndarray]:

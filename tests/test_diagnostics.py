@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from ttkrylov.operators import (
     parametric_convection_diffusion_problem,
 )
 from ttkrylov.solver import (NORM_SAMPLES, GmresConfig, OperatorChain,
-                             tt_right_gmres)
+                             judge_accuracy, tt_right_gmres)
+from ttkrylov import tt as tt_module
 from ttkrylov.tt import tt_norm, tt_scale
 
 P = 2
@@ -188,6 +191,47 @@ def test_verify_bounds_applies_no_slice_chain(solved, monkeypatch):
     monkeypatch.setattr(OperatorChain, "apply", counted)
     verify_bounds(chain, b, iterates, np.linalg.norm(a, 2))
     assert len(calls) == len(iterates) + P * NORM_SAMPLES
+
+
+@pytest.mark.parametrize("preconditioned", [False, True],
+                         ids=["plain", "preconditioned"])
+def test_report_judges_as_the_trace_did(preconditioned):
+    # At the solver's tau, the report's joint eta is the trace's eta.
+    g = Grid1D(N, -1.0, 1.0)
+    prob = parametric_convection_diffusion_problem(g, ParamSet.log_spaced(P))
+    precond = kron_leading_identity(
+        P, inv_laplacian_preconditioner(3, g, 2, 1e-2)) \
+        if preconditioned else None
+    cfg = GmresConfig(m=40, maxit=40, epsilon=1e-6, delta=1e-8,
+                      keep_iterates=True)
+    out = tt_right_gmres(prob.operator, precond, prob.rhs, cfg)
+    assert out.converged
+    chain = OperatorChain([prob.operator] + ([precond] if precond else []))
+    report = verify_bounds(chain, prob.rhs, out.iterates,
+                           out.estimated_opnorm,
+                           accuracy=judge_accuracy(cfg.epsilon))
+    eta = [r.eta_AMb if preconditioned else r.eta_Ab for r in out.trace]
+    assert report.eta_Ab == eta
+    assert report.eta_b == [r.eta_b for r in out.trace]
+    assert report.violations == []
+
+
+def test_verify_bounds_sweeps_each_vector_once(solved, monkeypatch):
+    # Per iterate, one R sweep each of x, A x and b - A x gives every joint
+    # and per-slice norm; b is swept for its slices and for |b|, and the
+    # sampled estimates norm each sample and its image.
+    chain, b, iterates, a = solved
+    callers = []
+    sweep = tt_module._right_r_sweep
+
+    def spy(cores):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return sweep(cores)
+
+    monkeypatch.setattr(tt_module, "_right_r_sweep", spy)
+    verify_bounds(chain, b, iterates, np.linalg.norm(a, 2))
+    assert callers.count("tt_first_mode_norms") == 3 * len(iterates) + 1
+    assert callers.count("tt_norm") == 1 + 2 * P * NORM_SAMPLES
 
 
 @pytest.mark.parametrize("preconditioned", [False, True],

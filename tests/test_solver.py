@@ -28,6 +28,9 @@ from ttkrylov.operators import (
     tt_laplacian,
 )
 from ttkrylov.solver import (
+    JUDGE_ACCURACY,
+    NORM_SAMPLES,
+    WORKING_PRECISION,
     GmresConfig,
     GivensLsq,
     OperatorChain,
@@ -35,6 +38,7 @@ from ttkrylov.solver import (
     backward_errors,
     estimate_l2_norm,
     hessenberg_lsq,
+    judge_accuracy,
     relaxed_tt_gmres,
     tt_gmres,
     tt_right_gmres,
@@ -319,6 +323,109 @@ class TestRightGmres:
         x5, x1 = (out.solution for out in outs)
         assert tt_norm(tt_add(x5, tt_scale(x1, -1.0))) \
             <= 1e-12 * tt_norm(x1)
+
+
+class TestJudge:
+    """The judge rounds only between the factors of a chain, at tau."""
+
+    def test_chain_apply_leaves_last_product_exact(self):
+        g = Grid1D(7, -1.0, 1.0)
+        prob = convection_diffusion_problem(g)
+        precond = inv_laplacian_preconditioner(3, g, 2, 1e-2)
+        x = tt_random(prob.rhs.modes, (1, 3, 3, 1), seed=5)
+        for factors, expected in (
+                ([prob.operator, precond], tt_apply(
+                    prob.operator, tt_round(tt_apply(precond, x), 1e-4))),
+                ([prob.operator], tt_apply(prob.operator, x))):
+            got = OperatorChain(factors).apply(x, 1e-4)
+            assert got.ranks == expected.ranks
+            for c, e in zip(got.cores, expected.cores):
+                np.testing.assert_array_equal(c, e)
+
+    def test_unpreconditioned_judge_is_exact_and_rounds_nothing(
+            self, monkeypatch):
+        prob = convection_diffusion_problem(Grid1D(7, -1.0, 1.0))
+        x = tt_random(prob.rhs.modes, (1, 3, 3, 1), seed=6)
+        rounds = []
+
+        def spy(y, delta):
+            rounds.append(delta)
+            return tt_round(y, delta)
+
+        monkeypatch.setattr(solver, "tt_round", spy)
+        be = backward_errors(prob.operator, x, prob.rhs, 1.0, accuracy=1e-3)
+        assert rounds == []
+        a = tt_op_to_dense(prob.operator)
+        dense = np.linalg.norm(tt_to_dense(prob.rhs).ravel()
+                               - a @ tt_to_dense(x).ravel())
+        assert abs(be.residual_norm - dense) <= 1e-13 * dense
+
+    def test_preconditioned_judge_within_judge_accuracy(self):
+        # The trace's eta, judged at tau, against eta of the same iterate
+        # from the exact product A (M x), densified.
+        g = Grid1D(15, -1.0, 1.0)
+        prob = convection_diffusion_problem(g)
+        precond = inv_laplacian_preconditioner(3, g, 4, 1e-2)
+        eps = 1e-5
+        cfg = GmresConfig(m=20, maxit=20, epsilon=eps, delta=1e-6,
+                          keep_iterates=True)
+        out = tt_right_gmres(prob.operator, precond, prob.rhs, cfg)
+        assert out.converged
+        bd = tt_to_dense(prob.rhs).ravel()
+        for rec, x in zip(out.trace, out.iterates):
+            ax = tt_apply(prob.operator, tt_apply(precond, x))
+            res = np.linalg.norm(bd - tt_to_dense(ax).ravel())
+            dense = res / (out.estimated_opnorm
+                           * np.linalg.norm(tt_to_dense(x))
+                           + np.linalg.norm(bd))
+            assert abs(rec.eta_AMb - dense) <= JUDGE_ACCURACY * eps
+
+    def test_stop_keeps_a_margin_of_tau(self):
+        # An iterate whose eta lies just below epsilon, but not below
+        # epsilon - tau, is not reported converged.
+        g = Grid1D(7, -1.0, 1.0)
+        prob = convection_diffusion_problem(g)
+        precond = inv_laplacian_preconditioner(3, g, 2, 1e-2)
+
+        def solve(eps):
+            cfg = GmresConfig(m=40, maxit=40, epsilon=eps, delta=1e-8)
+            return tt_right_gmres(prob.operator, precond, prob.rhs, cfg)
+
+        first = solve(1e-5)
+        assert first.converged
+        k = first.iterations
+        eta_k = first.trace[-1].eta_AMb
+        near = solve(eta_k * (1.0 + JUDGE_ACCURACY / 2))
+        assert near.iterations > k
+        assert near.trace[k - 1].eta_AMb == pytest.approx(eta_k, rel=1e-6)
+        clear = solve(eta_k * (1.0 + 2 * JUDGE_ACCURACY))
+        assert clear.converged and clear.iterations == k
+
+    def test_judge_accuracy(self):
+        assert judge_accuracy(1e-5) == JUDGE_ACCURACY * 1e-5
+        assert judge_accuracy(1e-15) == WORKING_PRECISION
+
+    def test_only_the_norm_samples_apply_an_unrounded_chain(
+            self, monkeypatch):
+        # The restart residual A M u rounds M u at working precision, and
+        # the judge at tau; the norm estimate's samples round nothing.
+        g = Grid1D(7, -1.0, 1.0)
+        prob = convection_diffusion_problem(g)
+        precond = inv_laplacian_preconditioner(3, g, 2, 1e-2)
+        deltas = []
+        apply = OperatorChain.apply
+
+        def spy(self, x, delta=None):
+            deltas.append(delta)
+            return apply(self, x, delta)
+
+        monkeypatch.setattr(OperatorChain, "apply", spy)
+        cfg = GmresConfig(m=3, maxit=60, epsilon=1e-6, delta=1e-8, seed=1)
+        out = tt_right_gmres(prob.operator, precond, prob.rhs, cfg)
+        assert out.converged and out.meta["cycles"] == 3
+        assert deltas.count(None) == NORM_SAMPLES
+        assert deltas.count(WORKING_PRECISION) == 2      # two restarts
+        assert deltas.count(judge_accuracy(1e-6)) == out.iterations
 
 
 class TestMgsSkip:

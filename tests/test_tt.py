@@ -14,6 +14,7 @@ from ttkrylov import (
     storage_stats,
     tt_add,
     tt_apply,
+    tt_first_mode_norms,
     tt_from_dense,
     tt_identity_operator,
     tt_inner,
@@ -559,6 +560,34 @@ class TestSlicing:
         total = sum(tt_norm(tt_slice_first_mode(x, ell))**2
                     for ell in range(1, 6))
         assert abs(total - tt_norm(x)**2) <= 1e-11 * tt_norm(x)**2
+
+    @settings(max_examples=60, deadline=None)
+    @given(inflated_sums())
+    def test_first_mode_norms_match_sliced_norms(self, x):
+        norms = tt_first_mode_norms(x)
+        sliced = [tt_norm(tt_slice_first_mode(x, ell))
+                  for ell in range(1, x.modes[0] + 1)]
+        nrm = tt_norm(x)
+        np.testing.assert_allclose(norms, sliced, rtol=0, atol=1e-12 * nrm)
+        assert abs(np.linalg.norm(norms) - nrm) <= 1e-12 * nrm
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_first_mode_norms_under_cancellation(self, d):
+        # slices of a tiny difference of two large, nearly equal tensors:
+        # z = (x + 1e-9 w) - x has the slice norms of 1e-9 w
+        modes = (4,) + (3,) * (d - 1)
+        x = rand_vec(modes, (1,) + (3,) * (d - 1) + (1,), seed=1)
+        w = rand_vec(modes, (1,) * (d + 1), seed=2)
+        z = tt_add(x, tt_scale(w, 1e-9), tt_scale(x, -1.0))
+        exact = 1e-9 * np.linalg.norm(
+            tt_to_dense(w).reshape(modes[0], -1), axis=1)
+        tol = 1e-6 * np.linalg.norm(exact)
+        np.testing.assert_allclose(tt_first_mode_norms(z), exact, rtol=0,
+                                   atol=tol)
+        sliced = [tt_norm(tt_slice_first_mode(z, ell))
+                  for ell in range(1, modes[0] + 1)]
+        np.testing.assert_allclose(tt_first_mode_norms(z), sliced, rtol=0,
+                                   atol=tol)
 
     def test_out_of_range(self):
         x = rand_vec((4, 4), (1, 2, 1))
