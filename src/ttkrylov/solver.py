@@ -28,16 +28,20 @@ eta by at most 0.4 tau on the measured presets.  The constant policy
 stops only when eta < epsilon - tau, a margin that keeps the certificate
 under that perturbation.
 
+The least-squares update t = V y is rounded once, at delta_k, by
+tt_round_sum: it works on the k terms y_j v_j one at a time and never forms
+the rank-sum cores of V y, so it needs no intermediate rounding.
+
 To keep intermediate bond ranks bounded on long cycles, the MGS subtraction
-loop and the iterate accumulation apply stabilization roundings at
-``stab = delta_k / (4 * k)``.  Their combined perturbation per iteration is
-below delta_k / 2, so the backward-error plateau and the basis-orthogonality
-contract (100 * delta) are unaffected.  The MGS loop makes at most k of
-them at step k: it skips the subtraction of c_i v_i (c_i = <v_i, w>, v_i of
-unit norm) whenever |c_i| <= stab * sqrt(w_low^2 - c_i^2), where w_low is a
-lower bound on |w|.  As |w - c_i v_i|^2 = |w|^2 - c_i^2, w itself is then a
-rounding of w - c_i v_i at stab, with the same guarantee tt_round gives, so
-the delta_k / 4 budget of the loop holds whether a step is skipped or not.
+loop alone applies stabilization roundings, at ``stab = delta_k / (4 * k)``.
+Their combined perturbation per iteration is below delta_k / 4, so the
+backward-error plateau and the basis-orthogonality contract (100 * delta)
+are unaffected.  The MGS loop makes at most k of them at step k: it skips
+the subtraction of c_i v_i (c_i = <v_i, w>, v_i of unit norm) whenever
+|c_i| <= stab * sqrt(w_low^2 - c_i^2), where w_low is a lower bound on |w|.
+As |w - c_i v_i|^2 = |w|^2 - c_i^2, w itself is then a rounding of
+w - c_i v_i at stab, with the same guarantee tt_round gives, so the
+delta_k / 4 budget of the loop holds whether a step is skipped or not.
 On symmetric operators, whose Arnoldi matrix is tridiagonal up to
 round-off, most steps are skipped.
 """
@@ -60,6 +64,7 @@ from .tt import (
     tt_norm,
     tt_random,
     tt_round,
+    tt_round_sum,
     tt_scale,
     tt_zero,
 )
@@ -359,8 +364,9 @@ def backward_errors(a, x: TTVector, b: TTVector, opnorm: float,
     of one system norms b once.  The product A x is formed by
     `a.apply(x, accuracy)`: rounded at `accuracy` between the factors of
     a chain, the last factor's product exact.  It is never rounded, and
-    b - A x is normed by one R sweep, so the residual is exact for the
-    vector judged; a single operator rounds nothing.  The product is
+    b - A x is normed by one R sweep of the terms b and A x, so the
+    residual is exact for the vector judged and its cores are never
+    formed; a single operator rounds nothing.  The product is
     returned as `product`, with the norms of b - A x and x and of their
     first-mode slices (tt_first_mode_norms).
     """
@@ -371,7 +377,7 @@ def backward_errors(a, x: TTVector, b: TTVector, opnorm: float,
     if bnorm == 0:
         raise ValueError("rhs has zero norm")
     ax = _as_chain(a).apply(x, accuracy)
-    r_slices = tt_first_mode_norms(tt_add(b, tt_scale(ax, -1.0)))
+    r_slices = tt_first_mode_norms(b, ax, coeffs=(1.0, -1.0))
     x_slices = tt_first_mode_norms(x)
     rnorm = float(np.linalg.norm(r_slices))
     xnorm = float(np.linalg.norm(x_slices))
@@ -386,15 +392,12 @@ def backward_errors(a, x: TTVector, b: TTVector, opnorm: float,
     )
 
 
-def _accumulate(vecs, coeffs, stab_delta: float, final_delta: float):
-    """round(sum_j coeffs[j] vecs[j], final_delta) with bounded
-    intermediates; the zero vector when there are no coefficients."""
-    if not len(coeffs):
-        return tt_zero(vecs[0].modes)
-    acc = tt_scale(vecs[0], coeffs[0])
-    for v, c in zip(vecs[1:], coeffs[1:]):
-        acc = tt_round(tt_add(acc, tt_scale(v, c)), stab_delta)
-    return tt_round(acc, final_delta)
+def _combine(v, y, delta: float) -> TTVector:
+    """round(sum_j y[j] v[j], delta) (tt_round_sum); the zero vector when
+    y is empty."""
+    if not len(y):
+        return tt_zero(v[0].modes)
+    return tt_round_sum(v[:len(y)], y, delta)
 
 
 def _mgs_step(w: TTVector, w_low: float, v: TTVector, stab: float):
@@ -483,7 +486,7 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
         t = None
         eta = BackwardErrors(math.nan, math.nan, math.nan, math.nan)
         if assemble:
-            t = _accumulate(v, lsq.solve(), stab, delta_k)
+            t = _combine(v, lsq.solve(), delta_k)
             x = t if u is None else tt_round(tt_add(u, t), tau)
             # Only the norms are kept: the product would otherwise stay
             # alive through the next iteration's mat-vec.
@@ -530,7 +533,7 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
                 break
 
     if t is None:
-        t = _accumulate(v, lsq.solve(), stab, delta_k)
+        t = _combine(v, lsq.solve(), delta_k)
     if cfg.keep_basis:
         out.meta["bases"].append(v)
     return t, stop
@@ -552,8 +555,9 @@ def relaxed_tt_gmres(a, b: TTVector, cfg: GmresConfig) -> GmresOutcome:
     Every rounding of step k (operator contractions, basis vector and
     assembled iterate) is done at ``delta_k = min(1, delta / |r~_{k-1}|)``,
     where |r~_{k-1}| is the least-squares residual norm of the previous
-    step, and the stabilization roundings at ``delta_k / (4 k)``; the
-    stopping test is on the scaled least-squares residual eta_tilde_b.
+    step, and the MGS stabilization roundings at ``delta_k / (4 k)``, whose
+    extra perturbation per iteration is below delta_k / 4; the stopping
+    test is on the scaled least-squares residual eta_tilde_b.
     """
     return tt_gmres(a, b, replace(cfg, rounding_policy="relaxed"))
 

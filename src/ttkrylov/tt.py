@@ -42,6 +42,7 @@ __all__ = [
     "tt_norm",
     "tt_first_mode_norms",
     "tt_round",
+    "tt_round_sum",
     "tt_apply",
     "tt_op_compose",
     "tt_random",
@@ -376,21 +377,87 @@ def _carry_right(carry: np.ndarray, core: np.ndarray) -> np.ndarray:
     return (carry @ core.reshape(a, n * b)).reshape(carry.shape[0], n, b)
 
 
-def _right_r_sweep(cores):
+def _split_columns(m: np.ndarray, sizes) -> list[np.ndarray]:
+    """Column blocks of m of the given widths (views)."""
+    out, start = [], 0
+    for size in sizes:
+        out.append(m[:, start:start + size])
+        start += size
+    return out
+
+
+def _carried(carry: np.ndarray, blocks):
+    """``carry @ blockdiag(blocks)``, one block at a time.
+
+    The columns of carry (r, sum a_j) are split by the left ranks a_j of the
+    blocks (a_j, n, b_j); yields carry_j @ block_j, shape (r, n, b_j).
+    """
+    for c, block in zip(_split_columns(carry, [b.shape[0] for b in blocks]),
+                        blocks):
+        yield _carry_right(c, block)
+
+
+def _times_rt(block: np.ndarray, rt) -> np.ndarray:
+    """block (a, n, b) with rt^T (b, rho) absorbed into its right bond; rt
+    None (b = 1, a column of ones) leaves the block as it is."""
+    if rt is None:
+        return block
+    a, n, b = block.shape
+    return (block.reshape(a * n, b) @ rt.T).reshape(a, n, -1)
+
+
+def _split_rt(rt, blocks) -> list:
+    """Column blocks of rt by the right ranks of the blocks (Nones if rt is
+    None)."""
+    if rt is None:
+        return [None] * len(blocks)
+    return _split_columns(rt, [b.shape[2] for b in blocks])
+
+
+def _sum_times_rt(carry: np.ndarray, blocks, rt) -> np.ndarray:
+    """``carry @ blockdiag(blocks) @ rt^T``, one block at a time: (r, n, rho).
+
+    rt None closes the blocks (all b_j = 1) by a column of ones.
+    """
+    total = None
+    for m, r in zip(_carried(carry, blocks), _split_rt(rt, blocks)):
+        m = _times_rt(m, r)
+        if total is None:
+            total = m
+        else:
+            total += m
+    return total
+
+
+def _right_r_sweep(cores, lead=None, blocks=()):
     """Right-to-left QR sweep that keeps only the triangular factors.
+
+    Sweeps the tensor whose cores are `cores` or, when `blocks` is given,
+    the chain ``cores[0] ... cores[c-1]`` (c = len(cores)) followed by the
+    sum ``lead @ blockdiag(blocks[0]) ... blockdiag(blocks[-1])`` closed by
+    a column of ones: blocks[i] lists core c+i of every term.  The sum's
+    cores are never formed; each product with a block-diagonal core is
+    taken one term at a time.
 
     Returns (first, rs).  For k >= 1, rs[k] is the R factor of core k with
     rs[k+1]^T absorbed (geqrf alone, ``mode="r"``: no Q is formed), so
     cores k, ..., d-1 contract to rs[k]^T times a row-orthonormal matrix;
     first is core 0 with rs[1]^T absorbed.  The input cores are only read.
     """
-    rs = [None] * len(cores)
+    rs = [None] * (len(cores) + len(blocks))
+    if blocks:
+        rt = None
+        for k in range(len(blocks) - 1, 0, -1):
+            p = np.concatenate([_times_rt(b, r) for b, r in
+                                zip(blocks[k], _split_rt(rt, blocks[k]))])
+            rt = np.linalg.qr(p.reshape(p.shape[0], -1).T, mode="r")
+            rs[len(cores) + k] = rt
+        cores = list(cores) + [_sum_times_rt(lead, blocks[0], rt)]
     core = cores[-1]
     for k in range(len(cores) - 1, 0, -1):
         a, n, b = core.shape
         rs[k] = np.linalg.qr(core.reshape(a, n * b).T, mode="r")
-        p, m, _ = cores[k - 1].shape
-        core = (cores[k - 1].reshape(p * m, a) @ rs[k].T).reshape(p, m, -1)
+        core = _times_rt(cores[k - 1], rs[k])
     return core, rs
 
 
@@ -408,35 +475,82 @@ def tt_norm(x: TTVector) -> float:
     return float(np.linalg.norm(first))
 
 
-def tt_first_mode_norms(x: TTVector) -> np.ndarray:
-    """Norms of the n_1 slices of x along its first mode, from one sweep.
+def _sum_blocks(terms, coeffs):
+    """sum_j coeffs[j] terms[j] as (lead, blocks), for _right_r_sweep.
 
-    After tt_norm's right-to-left R sweep, cores 1, ..., d-1 contract to a
-    row-orthonormal matrix, so slice l of x has the norm of row l of the
-    swept first core.  Entry l-1 is the norm of tt_slice_first_mode(x, l);
-    the norm of the returned array is |x|.
+    The sum is ``lead @ blockdiag(blocks[0]) ... blockdiag(blocks[-1])``
+    closed by a column of ones: lead is the (1, J) row of coefficients and
+    blocks[k] lists core k of every term.
     """
-    first, _ = _right_r_sweep(x.cores)
+    terms = list(terms)
+    if not terms:
+        raise TTError("a sum needs at least one term")
+    if any(_is_operator(t) for t in terms):
+        raise TTError("only TT vectors are summed term by term")
+    lead = np.asarray(coeffs, dtype=np.float64).reshape(1, -1)
+    if lead.shape[1] != len(terms):
+        raise TTError(f"{len(terms)} terms but {lead.shape[1]} coefficients")
+    for t in terms[1:]:
+        if t.modes != terms[0].modes:
+            raise ModeMismatchError(
+                f"modes differ: {terms[0].modes} vs {t.modes}")
+    return lead, [[t.cores[k] for t in terms] for k in range(terms[0].d)]
+
+
+def tt_first_mode_norms(*terms: TTVector, coeffs=None) -> np.ndarray:
+    """Norms of the n_1 slices along the first mode, from one sweep.
+
+    The tensor is the single term x, or the sum of coeffs[j] terms[j]
+    (coeffs default to ones).  After tt_norm's right-to-left R sweep,
+    cores 1, ..., d-1 contract to a row-orthonormal matrix, so slice l has
+    the norm of row l of the swept first core.  Entry l-1 is the norm of
+    tt_slice_first_mode(x, l); the norm of the returned array is |x|.  A
+    sum is swept term by term (see _right_r_sweep): its cores, and their
+    zero blocks, are never formed.
+    """
+    if len(terms) == 1 and coeffs is None:
+        first, _ = _right_r_sweep(terms[0].cores)
+    else:
+        lead, blocks = _sum_blocks(
+            terms, np.ones(len(terms)) if coeffs is None else coeffs)
+        first, _ = _right_r_sweep([], lead, blocks)
     return np.linalg.norm(first[0], axis=1)
 
 
-def _cap_left_bonds(cores: list[np.ndarray]) -> list[np.ndarray]:
-    """Cut leading bonds down to their natural cap r_{k-1} n_k, exactly.
+def _cap_sum_bonds(lead: np.ndarray, blocks):
+    """Cut the leading bonds of a sum down to their natural cap, exactly.
 
-    While a core's left unfolding (r_{k-1} n_k, r_k) is wide, its QR factor R
-    is absorbed into the next core.  This is a change of basis, so the tensor
-    is unchanged up to round-off; the QR sweep that follows then works at the
-    capped bond instead of the inflated one.
+    The sum is ``lead @ blockdiag(blocks[0]) ...`` as in _right_r_sweep.
+    While the left unfolding (r_{k-1} n_k, r_k) of its leading core, lead
+    applied, is wide, that core is replaced by its QR factor Q and lead
+    becomes R.  This is a change of basis, so the tensor is unchanged up
+    to round-off; the QR sweep that follows then works at the capped bond
+    instead of the inflated one.  Returns (head, lead): the Q cores, and
+    the R that lead now carries into blocks[len(head)].
     """
-    cores = list(cores)
-    for k in range(len(cores) - 1):
-        a, n, b = cores[k].shape
+    head = []
+    for block in blocks[:-1]:
+        a, n = lead.shape[0], block[0].shape[1]
+        b = sum(c.shape[2] for c in block)
         if a * n >= b:
             break
-        q, r = np.linalg.qr(cores[k].reshape(a * n, b))
-        cores[k] = q.reshape(a, n, a * n)
-        cores[k + 1] = _carry_right(r, cores[k + 1])
-    return cores
+        core = np.concatenate(list(_carried(lead, block)), axis=2)
+        q, lead = np.linalg.qr(core.reshape(a * n, b))
+        head.append(q.reshape(a, n, a * n))
+    return head, lead
+
+
+def _cap_left_bonds(cores: list[np.ndarray]) -> list[np.ndarray]:
+    """_cap_sum_bonds for one tensor: its cores, leading bonds capped."""
+    head, lead = _cap_sum_bonds(np.ones((1, 1)), [[c] for c in cores])
+    c = len(head)
+    return head + [_carry_right(lead, cores[c])] + list(cores[c + 1:])
+
+
+def _truncated_basis(w: np.ndarray, tau: float) -> np.ndarray:
+    """The left singular vectors of w that the cutoff tau keeps."""
+    u, s, _ = np.linalg.svd(w, full_matrices=False)
+    return u[:, :_min_rank_for_tail(s, tau)]
 
 
 def _round_cores(cores: list[np.ndarray], delta: float) -> list[np.ndarray]:
@@ -457,10 +571,8 @@ def _round_cores(cores: list[np.ndarray], delta: float) -> list[np.ndarray]:
         a, n, b = m.shape
         m = m.reshape(a * n, b)
         w = first.reshape(n, -1) if k == 0 else m @ rs[k + 1].T
-        u, s, _ = np.linalg.svd(w, full_matrices=False)
-        r = _min_rank_for_tail(s, tau)
-        u = u[:, :r]
-        out.append(u.reshape(a, n, r))
+        u = _truncated_basis(w, tau)
+        out.append(u.reshape(a, n, -1))
         m = _carry_right(u.T @ m, cores[k + 1])
     out.append(m)
     return out
@@ -493,6 +605,64 @@ def tt_round(x, delta: float):
             [c.reshape(c.shape[0], n, m, c.shape[2])
              for c, (n, m) in zip(rounded, shapes)])
     return make_tt_vector(_round_cores(list(x.cores), delta))
+
+
+def tt_round_sum(terms, coeffs, delta: float) -> TTVector:
+    """round(sum_j coeffs[j] terms[j], delta), without forming the sum.
+
+    Computes tt_round(tt_add(*[tt_scale(t, c) ...]), delta): the same left
+    caps, R sweep, truncated SVD sweep and per-core cutoff, on the same
+    singular values.  The sum is held as its terms' cores, as
+    ``c^T blockdiag(B_0) blockdiag(B_1) ... blockdiag(B_{d-1}) 1``, with
+    c the coefficients, B_k core k of every term and 1 a column of ones:
+    its interior cores, block diagonal with zero blocks off the diagonal,
+    are never formed.  Every product with a block-diagonal core is taken
+    one term at a time:
+
+    * the left caps QR the leading core with the carry applied,
+      ``carry @ B_k``, term by term, as tt_round does;
+    * the R sweep absorbs R_{k+1}^T into each block, ``B_k^j R_j^T``
+      (R_j the columns of R_{k+1} on term j's bond), and stacks the
+      results, which is the swept core of the sum;
+    * the SVD sweep forms ``W_k = sum_j (carry_j B_k^j) R_j^T``, truncates
+      its SVD, and carries ``U_r^T (carry_j B_k^j)`` into core k+1, one
+      term at a time, so the carried core (r, n, sum_j r_j) never exists.
+
+    Work and memory grow linearly with the number of terms, where rounding
+    the formed sum also spends both on its zero blocks.  Ranks never
+    exceed the sum's; ``|x - round(x)| <= delta * |x|`` for x the exact
+    sum.
+    """
+    if delta < 0:
+        raise TTError("delta must be >= 0")
+    lead, blocks = _sum_blocks(terms, coeffs)
+    d = len(blocks)
+    if d == 1:
+        return make_tt_vector([_sum_times_rt(lead, blocks[0], None)])
+    head, lead = _cap_sum_bonds(lead, blocks)
+    c = len(head)
+    first, rs = _right_r_sweep(head, lead, blocks[c:])
+    nrm = np.linalg.norm(first)
+    if nrm == 0.0:
+        return tt_zero([block[0].shape[1] for block in blocks])
+    tau = delta * nrm / np.sqrt(d - 1)
+    out = []
+    carry = np.ones((1, 1))
+    for k, block in enumerate([[h] for h in head] + blocks[c:]):
+        if k == c:
+            carry = carry @ lead
+        if k == d - 1:
+            out.append(_sum_times_rt(carry, block, None))
+            break
+        a, n = carry.shape[0], block[0].shape[1]
+        w = first if k == 0 else _sum_times_rt(carry, block, rs[k + 1])
+        u = _truncated_basis(w.reshape(a * n, -1), tau)
+        out.append(u.reshape(a, n, -1))
+        # carry_j B_k^j is formed again rather than kept from W_k: held
+        # together, those products are the (a, n, sum_j r_j) core.
+        carry = np.concatenate([u.T @ m.reshape(a * n, -1)
+                                for m in _carried(carry, block)], axis=1)
+    return make_tt_vector(out)
 
 
 def _core_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:

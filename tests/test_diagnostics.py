@@ -224,9 +224,9 @@ def test_verify_bounds_sweeps_each_vector_once(solved, monkeypatch):
     callers = []
     sweep = tt_module._right_r_sweep
 
-    def spy(cores):
+    def spy(*args):
         callers.append(sys._getframe(1).f_code.co_name)
-        return sweep(cores)
+        return sweep(*args)
 
     monkeypatch.setattr(tt_module, "_right_r_sweep", spy)
     verify_bounds(chain, b, iterates, np.linalg.norm(a, 2))

@@ -488,6 +488,34 @@ class TestMgsSkip:
             assert w_new is not w
 
 
+class TestAssembly:
+    @pytest.mark.parametrize("policy", ["constant", "relaxed"])
+    def test_update_is_a_rounding_of_v_y(self, monkeypatch, policy):
+        # Every assembled update t is round(V y, delta_k), one rounding of
+        # the least-squares combination of the kept basis, checked dense.
+        prob = poisson_problem(Grid1D(7))
+        calls = []
+        round_sum = solver.tt_round_sum
+
+        def spy(terms, coeffs, delta):
+            t = round_sum(terms, coeffs, delta)
+            calls.append((list(terms), np.array(coeffs), delta, t))
+            return t
+
+        monkeypatch.setattr(solver, "tt_round_sum", spy)
+        cfg = GmresConfig(m=20, maxit=20, epsilon=1e-6, delta=1e-5,
+                          rounding_policy=policy, keep_basis=True)
+        out = tt_gmres(prob.operator, prob.rhs, cfg)
+        basis = out.meta["bases"][0]
+        assert len(calls) == out.iterations
+        for (terms, y, delta, t), row in zip(calls, out.trace):
+            assert delta == row.delta_used
+            assert all(v is w for v, w in zip(terms, basis[:len(y)]))
+            vy = sum(c * tt_to_dense(v) for c, v in zip(y, terms))
+            err = np.linalg.norm(tt_to_dense(t) - vy)
+            assert err <= (delta + 1e-12) * np.linalg.norm(vy)
+
+
 class TestRelaxed:
     def test_first_delta_and_schedule(self):
         op = small_spd_op(seed=31)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from ttkrylov import (
     tt_random,
     tt_rank_one,
     tt_round,
+    tt_round_sum,
     tt_scale,
     tt_slice_first_mode,
     tt_to_dense,
@@ -451,6 +454,91 @@ class TestRoundMatchesQFormingSweep:
         assert modes and set(modes) == {"r"}
 
 
+@st.composite
+def scaled_terms(draw):
+    """1-6 random TT vectors of mixed ranks and their coefficients.
+
+    First modes of 1-4 against term ranks of 1-4 put the sum's leading
+    bonds above their caps in most draws; each coefficient may be zero, so
+    some sums are identically zero.
+    """
+    d = draw(st.integers(1, 4))
+    modes = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 6))
+    terms = [rand_vec(modes, [1, *r.integers(1, 5, size=d - 1), 1],
+                      seed=int(r.integers(2**32)))
+             for _ in range(count)]
+    zero = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    coeffs = np.where(zero, 0.0, r.standard_normal(count))
+    return terms, coeffs
+
+
+def _formed_sum(terms, coeffs):
+    return tt_add(*[tt_scale(t, c) for t, c in zip(terms, coeffs)])
+
+
+class TestRoundSum:
+    """tt_round_sum is tt_round of the formed sum, never formed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_terms(), st.sampled_from([0.0, 1e-10, 1e-4, 0.3]))
+    def test_matches_round_of_formed_sum(self, case, delta):
+        terms, coeffs = case
+        x = _formed_sum(terms, coeffs)
+        z = tt_round_sum(terms, coeffs, delta)
+        ref = tt_round(x, delta)
+        assert z.ranks == ref.ranks
+        exact = tt_to_dense(x)
+        nrm = np.linalg.norm(exact)
+        assert np.linalg.norm(tt_to_dense(z) - tt_to_dense(ref)) \
+            <= 1e-12 * nrm
+        assert np.linalg.norm(tt_to_dense(z) - exact) <= (delta + 1e-12) * nrm
+
+    @settings(max_examples=100, deadline=None)
+    @given(scaled_terms())
+    def test_first_mode_norms_of_a_sum(self, case):
+        terms, coeffs = case
+        x = _formed_sum(terms, coeffs)
+        nrm = tt_norm(x)
+        np.testing.assert_allclose(
+            tt_first_mode_norms(*terms, coeffs=coeffs),
+            tt_first_mode_norms(x), rtol=0, atol=1e-12 * nrm)
+
+    def test_all_zero_sum(self):
+        terms = [rand_vec((3, 4, 2), (1, 3, 2, 1), seed=11),
+                 rand_vec((3, 4, 2), (1, 2, 4, 1), seed=12)]
+        z = tt_round_sum(terms, [0.0, 0.0], 1e-8)
+        assert z.ranks == (1, 1, 1, 1)
+        assert not np.any(tt_to_dense(z))
+
+    def test_peak_memory_stays_below_the_inputs(self):
+        # 25 rank-31 terms at 31^3: the formed sum's interior core alone
+        # has 775 x 31 x 775 entries (149 MB), its terms' cores 6.3 MB.
+        terms = [tt_random((31, 31, 31), (1, 31, 31, 1), seed=s)
+                 for s in range(25)]
+        inputs = sum(c.nbytes for t in terms for c in t.cores)
+        tracemalloc.start()
+        try:
+            tt_round_sum(terms, np.linspace(1.0, 2.0, 25), 1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < inputs
+
+    @pytest.mark.parametrize("terms, coeffs, delta, error", [
+        ([], [], 0.1, TTError),
+        ([tt_ones((2, 3))], [1.0, 2.0], 0.1, TTError),
+        ([tt_ones((2, 3)), tt_ones((3, 2))], [1.0, 2.0], 0.1,
+         ModeMismatchError),
+        ([tt_identity_operator((2, 3))], [1.0], 0.1, TTError),
+        ([tt_ones((2, 3))], [1.0], -0.1, TTError),
+    ], ids=["empty", "coeff-count", "modes", "operator", "negative-delta"])
+    def test_rejects_bad_input(self, terms, coeffs, delta, error):
+        with pytest.raises(error):
+            tt_round_sum(terms, coeffs, delta)
+
+
 class TestOperator:
     def test_apply_rank_product(self):
         a = rand_op((4, 4, 4), (4, 4, 4), (1, 2, 2, 1))
@@ -588,6 +676,10 @@ class TestSlicing:
                   for ell in range(1, modes[0] + 1)]
         np.testing.assert_allclose(tt_first_mode_norms(z), sliced, rtol=0,
                                    atol=tol)
+        # the same difference, swept term by term
+        np.testing.assert_allclose(
+            tt_first_mode_norms(x, w, x, coeffs=(1.0, 1e-9, -1.0)), exact,
+            rtol=0, atol=tol)
 
     def test_out_of_range(self):
         x = rand_vec((4, 4), (1, 2, 1))
