@@ -20,6 +20,7 @@ import contextlib
 import ctypes
 import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -312,11 +313,28 @@ def _preconditioner(cfg: ExperimentConfig, g: Grid1D):
     return inv_laplacian_preconditioner(3, g, q, cfg.tau)
 
 
+#: environment variables that set the BLAS thread count
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """The numpy version, the BLAS numpy was built against and the BLAS
+    thread variables (None where unset)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}) \
+        .get("blas", {})
+    return {"numpy": np.__version__,
+            "blas": {"name": blas.get("name"),
+                     "version": blas.get("version")},
+            "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS}}
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
     """Build, solve, diagnose and write one experiment; returns the manifest.
 
     The manifest's "solves" maps each system's output suffix to whether
-    that solve converged.
+    that solve converged, and "environment" records the numpy version, the
+    BLAS name and version and the BLAS thread variables.
     """
     warnings = cfg.validate()
     for w in warnings:
@@ -369,6 +387,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
     manifest = {
         "config": dataclasses.asdict(cfg),
         "version": __version__,
+        "environment": _environment(),
         "started": stamp_start,
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "wall_clock": phases,

@@ -32,18 +32,23 @@ The least-squares update t = V y is rounded once, at delta_k, by
 tt_round_sum: it works on the k terms y_j v_j one at a time and never forms
 the rank-sum cores of V y, so it needs no intermediate rounding.
 
-To keep intermediate bond ranks bounded on long cycles, the MGS subtraction
-loop alone applies stabilization roundings, at ``stab = delta_k / (4 * k)``.
-Their combined perturbation per iteration is below delta_k / 4, so the
-backward-error plateau and the basis-orthogonality contract (100 * delta)
-are unaffected.  The MGS loop makes at most k of them at step k: it skips
-the subtraction of c_i v_i (c_i = <v_i, w>, v_i of unit norm) whenever
-|c_i| <= stab * sqrt(w_low^2 - c_i^2), where w_low is a lower bound on |w|.
-As |w - c_i v_i|^2 = |w|^2 - c_i^2, w itself is then a rounding of
-w - c_i v_i at stab, with the same guarantee tt_round gives, so the
-delta_k / 4 budget of the loop holds whether a step is skipped or not.
-On symmetric operators, whose Arnoldi matrix is tridiagonal up to
-round-off, most steps are skipped.
+The Arnoldi step orthogonalizes w = round(A M v_k, delta_k) by MGS in
+exact arithmetic and rounds the result once (_orthogonalize).  The MGS
+coefficients of the unrounded running sum w_i = w - sum_j c_j v_j, over
+the kept terms j < i, are c_i = <v_i, w> - sum_j <v_i, v_j> c_j over the
+same j: one tt_inners sweep gives every <v_i, w>, and the Gram matrix of
+the basis, kept per cycle and filled in as steps need its entries, gives
+the rest (the low-synchronization form of MGS; Swirydowicz, Langou,
+Ananthan, Yang & Thomas, NLA 2021).  One tt_round_sum at delta_k then
+forms round(w - sum_i c_i v_i, delta_k) without forming the sum, so no
+stabilization rounding is needed.  A term is left out of the sum when
+|c_i| <= stab * |w_i - c_i v_i|, stab = delta_k / (4 k); as nothing is
+rounded, |w_i - c_i v_i|^2 = |w_i|^2 - c_i^2 is exact.  The k terms left
+out at most move the sum by delta_k / 4 relative, and their c_i stay in
+the Hessenberg column, so the basis-orthogonality contract (100 * delta)
+and the backward-error plateau are unaffected.  On symmetric operators,
+whose Arnoldi matrix is tridiagonal up to round-off, most terms are left
+out.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from .tt import (
     tt_add,
     tt_apply,
     tt_first_mode_norms,
-    tt_inner,
+    tt_inners,
     tt_norm,
     tt_random,
     tt_round,
@@ -400,21 +405,42 @@ def _combine(v, y, delta: float) -> TTVector:
     return tt_round_sum(v[:len(y)], y, delta)
 
 
-def _mgs_step(w: TTVector, w_low: float, v: TTVector, stab: float):
-    """One MGS step: round(w - c v, stab) for the unit vector v.
+def _orthogonalize(w: TTVector, v, gram: list, stab: float, delta: float):
+    """MGS of w against the unit vectors v, exact, then one rounding.
 
-    w_low is a lower bound on |w|.  Returns (w', w_low', c) with
-    c = <v, w>, |w' - (w - c v)| <= stab |w - c v| and w_low' <= |w'|.
-    When |c| <= stab * sqrt(w_low^2 - c^2) <= stab |w - c v|, w itself
-    meets that contract and is returned as it is: no sum is formed and
-    nothing is rounded.  Otherwise the rounded difference is at least
-    (1 - stab) |w - c v| in norm.
+    The coefficients are those of MGS on the unrounded running sum
+    w_i = w - sum_{j < i, j kept} c_j v_j: c_i = <v_i, w_i> =
+    <v_i, w> - sum_{j < i, j kept} <v_i, v_j> c_j, from one tt_inners
+    sweep and the Gram matrix of the basis.  gram[i][j] caches <v_j, v_i>
+    for j < i, NaN until a step first needs it, that is, keeps term j and
+    then reaches term i; the entries of row i that a step needs are taken
+    by one tt_inners sweep.  Rows for vectors added since the last call
+    are appended.  As |w_i - c_i v_i|^2 = |w_i|^2 - c_i^2, the norms of
+    the running sum are exact too.  Term i is left out of the sum when
+    |c_i| <= stab * |w_i - c_i v_i|.  Returns (w', c, kept):
+    w' = round(w - sum_{i in kept} c_i v_i, delta) by one tt_round_sum,
+    c every coefficient, left-out terms included, and kept the indices of
+    the terms in the sum.
     """
-    c = tt_inner(v, w)
-    rest = math.sqrt(max(w_low * w_low - c * c, 0.0))
-    if abs(c) <= stab * rest:
-        return w, w_low, c
-    return tt_round(tt_add(w, tt_scale(v, -c)), stab), (1.0 - stab) * rest, c
+    for i in range(len(gram), len(v)):
+        gram.append(np.full(i, np.nan))
+    c = tt_inners(v, w)
+    kept = []
+    w_sq = tt_norm(w) ** 2
+    for i in range(len(v)):
+        if kept:
+            row = gram[i]
+            missing = [j for j in kept if np.isnan(row[j])]
+            if missing:
+                row[missing] = tt_inners([v[j] for j in missing], v[i])
+            c[i] -= row[kept] @ c[kept]
+        rest_sq = max(w_sq - c[i] * c[i], 0.0)
+        if abs(c[i]) > stab * math.sqrt(rest_sq):
+            kept.append(i)
+            w_sq = rest_sq
+    w = tt_round_sum([w] + [v[i] for i in kept],
+                     np.concatenate(([1.0], -c[kept])), delta)
+    return w, c, kept
 
 
 def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
@@ -444,6 +470,7 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
     relaxed = cfg.rounding_policy == "relaxed"
     tau = judge_accuracy(cfg.epsilon)
     v = [tt_scale(r, 1.0 / r_norm)]
+    gram = []
     lsq = GivensLsq(r_norm)
     eta_hist = []
     stop = None
@@ -456,19 +483,14 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
             delta_k = min(1.0, cfg.delta / max(lsq.residual, 1e-300))
         else:
             delta_k = cfg.delta
-        # At most k stabilization roundings this iteration, each at
-        # delta_k/(4k), keep the extra perturbation below delta_k / 4; a
-        # step whose term lies inside its own tolerance is skipped.
+        # Each of the k MGS terms left out of the sum moves it by at most
+        # delta_k / (4k) relative, delta_k / 4 in all.
         stab = delta_k / (4.0 * k)
 
         w = tt_round(chain.apply(v[-1], delta_k), delta_k)
-        w_low = tt_norm(w)
-        col = np.zeros(k + 1)
-        for i in range(k):
-            w, w_low, col[i] = _mgs_step(w, w_low, v[i], stab)
-        w = tt_round(w, delta_k)
+        w, coeffs, _ = _orthogonalize(w, v, gram, stab, delta_k)
         h_last = tt_norm(w)
-        col[k] = h_last
+        col = np.append(coeffs, h_last)
         breakdown = h_last < BREAKDOWN_TOL * r_norm
         if not breakdown:
             v.append(tt_scale(w, 1.0 / h_last))
@@ -555,9 +577,10 @@ def relaxed_tt_gmres(a, b: TTVector, cfg: GmresConfig) -> GmresOutcome:
     Every rounding of step k (operator contractions, basis vector and
     assembled iterate) is done at ``delta_k = min(1, delta / |r~_{k-1}|)``,
     where |r~_{k-1}| is the least-squares residual norm of the previous
-    step, and the MGS stabilization roundings at ``delta_k / (4 k)``, whose
-    extra perturbation per iteration is below delta_k / 4; the stopping
-    test is on the scaled least-squares residual eta_tilde_b.
+    step.  The new basis vector is one rounding at delta_k of the exact
+    MGS vector, less the MGS terms left out of the sum, which move it by
+    at most delta_k / 4 relative; the stopping test is on the scaled
+    least-squares residual eta_tilde_b.
     """
     return tt_gmres(a, b, replace(cfg, rounding_policy="relaxed"))
 

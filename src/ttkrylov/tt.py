@@ -39,6 +39,7 @@ __all__ = [
     "tt_add",
     "tt_scale",
     "tt_inner",
+    "tt_inners",
     "tt_norm",
     "tt_first_mode_norms",
     "tt_round",
@@ -51,6 +52,9 @@ __all__ = [
     "storage_stats",
     "dense_budget",
 ]
+
+#: entries of one stacked product in tt_inners
+INNERS_STACK_ENTRIES = 1 << 16
 
 DENSE_BUDGET_ENV = "TTKRYLOV_DENSE_BUDGET"
 _DEFAULT_DENSE_BUDGET = 10**6
@@ -360,15 +364,44 @@ def tt_scale(x, c: float):
 
 
 def tt_inner(x: TTVector, y: TTVector) -> float:
-    """Euclidean dot product, by a left-to-right core sweep."""
-    if x.modes != y.modes:
-        raise ModeMismatchError(f"modes differ: {x.modes} vs {y.modes}")
-    g = np.ones((1, 1))
-    for cx, cy in zip(x.cores, y.cores):
-        tmp = np.tensordot(g, cx, axes=([0], [0]))       # (ry, n, rx')
-        g = np.tensordot(cy, tmp, axes=([0, 1], [0, 1]))  # (ry', rx')
-        g = g.T
-    return float(g[0, 0])
+    """Euclidean dot product, by a left-to-right core sweep (tt_inners)."""
+    return float(tt_inners([x], y)[0])
+
+
+def tt_inners(xs, y: TTVector) -> np.ndarray:
+    """<x_j, y> for every x_j in xs, from one left-to-right core sweep.
+
+    Each x_j carries its (r_j, s) contraction with y through the cores.
+    The carries of the x_j are stacked, so y's core k enters one GEMM,
+    (sum_j r_j, s) @ (s, n_k s'), per run of whole terms of at most
+    INNERS_STACK_ENTRIES product entries (a larger term alone), and only
+    the x side is taken term by term.  An empty xs gives an empty array.
+    """
+    xs = list(xs)
+    for x in xs:
+        if x.modes != y.modes:
+            raise ModeMismatchError(f"modes differ: {x.modes} vs {y.modes}")
+    if not xs:
+        return np.zeros(0)
+    g = np.ones((len(xs), 1))
+    for k, cy in enumerate(y.cores):
+        s, n, s_next = cy.shape
+        cy = cy.reshape(s, n * s_next)
+        limit = INNERS_STACK_ENTRIES // (n * s_next)
+        ends = np.cumsum([x.cores[k].shape[0] for x in xs])
+        carries, top = [], 0
+        for j, x in enumerate(xs):
+            r, _, r_next = x.cores[k].shape
+            lo = ends[j] - r
+            if ends[j] > top:
+                # stack the next whole terms, term j at least
+                last = np.searchsorted(ends, lo + limit, side="right") - 1
+                base, top = lo, ends[max(last, j)]
+                stacked = g[base:top] @ cy
+            part = stacked[lo - base:ends[j] - base].reshape(r * n, s_next)
+            carries.append(x.cores[k].reshape(r * n, r_next).T @ part)
+        g = np.concatenate(carries)
+    return g[:, 0]
 
 
 def _carry_right(carry: np.ndarray, core: np.ndarray) -> np.ndarray:

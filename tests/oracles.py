@@ -185,3 +185,12 @@ def tt_round_forming_q(x, delta):
 def tt_norm_forming_q(x):
     """Frobenius norm as |core 0| after an explicit right-orthogonalization."""
     return float(np.linalg.norm(right_orthogonalize(list(x.cores))[0]))
+
+
+def tt_inner_tensordot(x, y):
+    """<x, y> by the tensordot core sweep that tt_inners replaced."""
+    g = np.ones((1, 1))
+    for cx, cy in zip(x.cores, y.cores):
+        tmp = np.tensordot(g, cx, axes=([0], [0]))       # (ry, n, rx')
+        g = np.tensordot(cy, tmp, axes=([0, 1], [0, 1])).T  # (rx', ry')
+    return float(g[0, 0])

@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 
 from ttkrylov import cli
@@ -124,6 +125,22 @@ def test_smoke_every_experiment(experiment, tmp_path, capsys):
     for f in traces:
         header = Path(f).read_text().splitlines()[0]
         assert tuple(header.split(",")) == TRACE_COLUMNS
+
+
+def test_manifest_records_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    main(["run", "poisson_n63", *SMALL, "--set", "output=env",
+          "--output", str(tmp_path)])
+    manifest = json.loads((tmp_path / "env_manifest.json").read_text())
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert all(isinstance(v, str) and v for v in env["blas"].values())
+    assert env["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                   "OMP_NUM_THREADS": "2",
+                                   "MKL_NUM_THREADS": None}
 
 
 @pytest.fixture

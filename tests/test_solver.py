@@ -10,6 +10,7 @@ from ttkrylov import (
     tt_apply,
     tt_identity_operator,
     tt_inner,
+    tt_inners,
     tt_norm,
     tt_op_from_factors,
     tt_op_to_dense,
@@ -34,7 +35,7 @@ from ttkrylov.solver import (
     GmresConfig,
     GivensLsq,
     OperatorChain,
-    _mgs_step,
+    _orthogonalize,
     backward_errors,
     estimate_l2_norm,
     hessenberg_lsq,
@@ -429,31 +430,39 @@ class TestJudge:
 
 
 class TestMgsSkip:
-    """The MGS loop skips each subtraction that lies inside its tolerance."""
+    """MGS runs on the unrounded sum, which is rounded once per step."""
 
     def test_symmetric_operator_skips_stabilization_roundings(
             self, monkeypatch):
         # Poisson is symmetric, so H is tridiagonal up to round-off and
-        # most c_i = <v_i, w> vanish; every MGS step used to round anyway.
+        # most c_i = <v_i, w> vanish: their terms are left out of the sum.
         prob = poisson_problem(Grid1D(7))
         delta = 1e-5
-        mgs_rounds = []
+        stab_rounds, mgs_sums = [], []
 
-        # MGS stabilization roundings are the ones at delta / (4 k), k <= m.
+        # Stabilization roundings would be at delta / (4 k), k <= m.
         def counting_round(x, d):
-            caller = sys._getframe(1).f_code.co_name
-            if caller in ("_gmres_cycle", "_mgs_step") and \
-                    delta / (4 * 20) <= d < delta:
-                mgs_rounds.append(d)
+            if delta / (4 * 20) <= d < delta:
+                stab_rounds.append(d)
             return tt_round(x, d)
 
+        round_sum = solver.tt_round_sum
+
+        def counting_sum(terms, coeffs, d):
+            if sys._getframe(1).f_code.co_name == "_orthogonalize":
+                mgs_sums.append(len(terms))
+            return round_sum(terms, coeffs, d)
+
         monkeypatch.setattr(solver, "tt_round", counting_round)
+        monkeypatch.setattr(solver, "tt_round_sum", counting_sum)
         cfg = GmresConfig(m=20, maxit=20, epsilon=1e-5, delta=delta,
                           keep_basis=True)
         out = tt_gmres(prob.operator, prob.rhs, cfg)
         assert out.converged and out.iterations == 15
-        mgs_steps = sum(range(1, out.iterations + 1))
-        assert len(mgs_rounds) < mgs_steps
+        assert stab_rounds == []
+        assert len(mgs_sums) == out.iterations
+        # w and k basis vectors at step k, when no term is left out
+        assert sum(mgs_sums) < sum(k + 1 for k in range(1, out.iterations + 1))
         basis = out.meta["bases"][0]
         worst = max(abs(tt_inner(basis[i], basis[j]))
                     for i in range(len(basis))
@@ -463,29 +472,77 @@ class TestMgsSkip:
     @pytest.mark.parametrize("ratio", [0.0, 0.5, 2.0, 1e3])
     @pytest.mark.parametrize("loose", [False, True])
     def test_step_meets_rounding_contract(self, ratio, loose):
-        # c is set to `ratio` times the skip threshold stab * |w - c v|;
-        # w_low is |w| itself or a looser lower bound.
-        stab = 1e-3
+        # Four unit vectors, orthonormal to round-off or (loose) only to
+        # about 1e-6, and w = p + sum_i t_i v_i with p a unit vector
+        # orthogonal to them and t = (3, r, 0.3, r), r = ratio * stab.  The
+        # r terms are left out when ratio <= 0.5 (|w_i - c_i v_i| >= |p| =
+        # 1) and kept when ratio >= 2 (|w_i - c_i v_i| <= 1.05 once term 0
+        # is subtracted, against |w| > 3).  The step is checked against
+        # dense MGS.
+        stab, delta = 1e-3, 1e-4
         modes = (5, 6, 4)
-        w0 = tt_random(modes, (1, 3, 2, 1), seed=7)
-        v = tt_random(modes, (1, 2, 2, 1), seed=8)
-        v = tt_scale(v, 1.0 / tt_norm(v))
-        d0, dv = tt_to_dense(w0), tt_to_dense(v)
-        perp = d0 - np.vdot(dv, d0) * dv
-        target = ratio * stab * np.linalg.norm(perp)
-        w = tt_add(w0, tt_scale(v, target - tt_inner(v, w0)))
-        dw = tt_to_dense(w)
-        w_low = np.linalg.norm(dw) * (0.9 if loose else 1.0)
-        w_new, w_low_new, c = _mgs_step(w, w_low, v, stab)
-        assert c == pytest.approx(np.vdot(dv, dw), rel=1e-10, abs=1e-12)
-        exact = dw - c * dv
-        err = np.linalg.norm(tt_to_dense(w_new) - exact)
-        assert err <= stab * np.linalg.norm(exact)
-        assert w_low_new <= np.linalg.norm(tt_to_dense(w_new))
-        if ratio <= 0.5 and not loose:
-            assert w_new is w           # skipped: nothing formed or rounded
+        v = []
+        for i in range(4):
+            x = tt_random(modes, (1, 2, 2, 1), seed=20 + i)
+            x = tt_add(x, *[tt_scale(u, -tt_inner(u, x)) for u in v])
+            if loose:
+                noise = tt_random(modes, (1, 1, 1, 1), seed=40 + i)
+                x = tt_add(tt_scale(x, 1.0 / tt_norm(x)),
+                           tt_scale(noise, 1e-5))
+            v.append(tt_scale(x, 1.0 / tt_norm(x)))
+        dv = np.array([tt_to_dense(x).ravel() for x in v])
+        off = np.abs(dv @ dv.T - np.eye(4)).max()
+        assert (1e-7 < off < 1e-5) if loose else off < 1e-14
+        p = tt_random(modes, (1, 3, 2, 1), seed=7)
+        dp = tt_to_dense(p).ravel()
+        coef = np.linalg.solve(dv @ dv.T, dv @ dp)
+        p = tt_add(p, *[tt_scale(u, -a) for u, a in zip(v, coef)])
+        p = tt_scale(p, 1.0 / tt_norm(p))
+        targets = [3.0, ratio * stab, 0.3, ratio * stab]
+        w = tt_add(p, *[tt_scale(u, t) for u, t in zip(v, targets)])
+
+        gram = []
+        w_new, c, kept = _orthogonalize(w, v, gram, stab, delta)
+
+        # <v_j, v_i> is taken only for kept j < i
+        assert [row.shape for row in gram] == [(i,) for i in range(4)]
+        for i in range(4):
+            taken = np.isfinite(gram[i])
+            assert list(np.flatnonzero(taken)) == [j for j in kept if j < i]
+            np.testing.assert_allclose(gram[i][taken], dv[:i][taken] @ dv[i],
+                                       rtol=0, atol=1e-15)
+        # sequential dense MGS, subtracting the same kept terms
+        dw = tt_to_dense(w).ravel()
+        z, budget = dw.copy(), 0.0
+        for i in range(4):
+            ci = dv[i] @ z
+            assert abs(c[i] - ci) <= 1e-12 * np.linalg.norm(dw)
+            if i in kept:
+                z -= ci * dv[i]
+            else:
+                assert abs(ci) <= stab * np.linalg.norm(z - ci * dv[i])
+                budget += abs(ci)
+        assert kept == ([0, 2] if ratio <= 0.5 else [0, 1, 2, 3])
+        exact = dw - c @ dv
+        err = np.linalg.norm(tt_to_dense(w_new).ravel() - exact)
+        assert err <= delta * np.linalg.norm(exact) + (1 + delta) * budget
         if ratio >= 2.0:
-            assert w_new is not w
+            assert err <= delta * np.linalg.norm(exact)
+
+
+class TestOrthogonality:
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8])
+    def test_nonsymmetric_basis(self, delta):
+        # Conv-diff is non-symmetric: unlike Poisson's, its Hessenberg
+        # matrix is full, and the MGS sums keep 859 and 860 of 860 terms.
+        prob = convection_diffusion_problem(Grid1D(15, -1.0, 1.0))
+        cfg = GmresConfig(m=40, maxit=40, epsilon=1e-15, delta=delta,
+                          keep_basis=True)
+        out = tt_gmres(prob.operator, prob.rhs, cfg)
+        basis = out.meta["bases"][0]
+        assert len(basis) == 41
+        gram = np.array([tt_inners(basis, x) for x in basis])
+        assert np.abs(gram - np.eye(len(basis))).max() <= 100 * delta
 
 
 class TestAssembly:
@@ -499,7 +556,8 @@ class TestAssembly:
 
         def spy(terms, coeffs, delta):
             t = round_sum(terms, coeffs, delta)
-            calls.append((list(terms), np.array(coeffs), delta, t))
+            if sys._getframe(1).f_code.co_name == "_combine":
+                calls.append((list(terms), np.array(coeffs), delta, t))
             return t
 
         monkeypatch.setattr(solver, "tt_round_sum", spy)

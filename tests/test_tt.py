@@ -20,6 +20,7 @@ from ttkrylov import (
     tt_from_dense,
     tt_identity_operator,
     tt_inner,
+    tt_inners,
     tt_norm,
     tt_ones,
     tt_op_compose,
@@ -43,6 +44,7 @@ from oracles import (
     dense_op_from_cores,
     kron_sum,
     min_rank_for_tail_loop,
+    tt_inner_tensordot,
     tt_norm_forming_q,
     tt_round_forming_q,
 )
@@ -537,6 +539,53 @@ class TestRoundSum:
     def test_rejects_bad_input(self, terms, coeffs, delta, error):
         with pytest.raises(error):
             tt_round_sum(terms, coeffs, delta)
+
+
+class TestInners:
+    """tt_inners: every <x_j, y> from one sweep, stacked on the y side."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scaled_terms(), st.integers(0, 2**32 - 1))
+    def test_matches_dense_and_tensordot_sweep(self, case, seed):
+        xs, _ = case
+        r = np.random.default_rng(seed)
+        y = rand_vec(xs[0].modes, [1, *r.integers(1, 5, size=xs[0].d - 1), 1],
+                     seed=seed)
+        got = tt_inners(xs, y)
+        dense_y = tt_to_dense(y)
+        for g, x in zip(got, xs):
+            dense_x = tt_to_dense(x)
+            scale = np.linalg.norm(dense_x) * np.linalg.norm(dense_y)
+            assert abs(g - np.vdot(dense_x, dense_y)) <= 1e-13 * scale
+            assert abs(g - tt_inner_tensordot(x, y)) <= 1e-13 * scale
+        assert got.shape == (len(xs),)
+
+    @pytest.mark.parametrize("entries", [1, 20, 1 << 16])
+    def test_stack_taken_in_chunks(self, monkeypatch, entries):
+        # 1 and 20 entries cap the stacked rows at 0 to 10 per core: runs
+        # of whole terms are stacked, a term above the cap alone.
+        monkeypatch.setattr(tt_module, "INNERS_STACK_ENTRIES", entries)
+        xs = [rand_vec((3, 4, 2), (1, rank, 2, 1), seed=rank)
+              for rank in (1, 3, 2, 4, 1)]
+        y = rand_vec((3, 4, 2), (1, 2, 3, 1), seed=9)
+        dense_y = tt_to_dense(y)
+        ref = [np.vdot(tt_to_dense(x), dense_y) for x in xs]
+        np.testing.assert_allclose(tt_inners(xs, y), ref, rtol=1e-13)
+
+    def test_inner_is_the_one_term_sweep(self):
+        x = rand_vec((3, 4, 5), (1, 2, 3, 1), seed=3)
+        y = rand_vec((3, 4, 5), (1, 3, 2, 1), seed=4)
+        assert tt_inner(x, y) == tt_inners([x], y)[0]
+
+    def test_empty(self):
+        got = tt_inners([], tt_ones((2, 3)))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    def test_mode_mismatch(self):
+        with pytest.raises(ModeMismatchError):
+            tt_inners([tt_ones((2, 3)), tt_ones((3, 2))], tt_ones((2, 3)))
+        with pytest.raises(ModeMismatchError):
+            tt_inner(tt_ones((2, 3)), tt_ones((2, 4)))
 
 
 class TestOperator:
