@@ -17,13 +17,13 @@ from .tt import (
     TTError,
     make_tt_operator,
     tt_add,
+    tt_first_mode_norms,
     tt_norm,
     tt_op_from_factors,
     tt_random,
     tt_rank_one,
     tt_round,
     tt_scale,
-    tt_slice_first_mode,
     make_tt_vector,
 )
 
@@ -404,11 +404,8 @@ def multi_rhs_problem(base: ProblemInstance, p: int, rank_cap: int,
     stacked = make_tt_vector([ones_core, *base.rhs.cores])
     rhs = tt_add(stacked, e)
     # Per-slice normalization only rescales rows of the leading core.
-    norms = [tt_norm(tt_slice_first_mode(rhs, ell)) for ell in range(1, p + 1)]
-    first = np.array(rhs.cores[0])
-    for ell in range(p):
-        first[0, ell, :] /= norms[ell]
-    rhs = make_tt_vector([first, *rhs.cores[1:]])
+    norms = tt_first_mode_norms(rhs)
+    rhs = make_tt_vector([rhs.cores[0] / norms[:, None], *rhs.cores[1:]])
     op = kron_leading_identity(p, base.operator)
     return ProblemInstance(operator=op, rhs=rhs)
 

@@ -28,9 +28,11 @@ eta by at most 0.4 tau on the measured presets.  The constant policy
 stops only when eta < epsilon - tau, a margin that keeps the certificate
 under that perturbation.
 
-The least-squares update t = V y is rounded once, at delta_k, by
-tt_round_sum: it works on the k terms y_j v_j one at a time and never forms
-the rank-sum cores of V y, so it needs no intermediate rounding.
+Every rounded sum is one tt_round_sum, which works on the terms one at a
+time and never forms the rank-sum cores: the least-squares update t = V y
+at delta_k over the k terms y_j v_j, so it needs no intermediate rounding;
+the MGS sum below; the judged iterate u + t at tau; and, per cycle, the
+restart residual b - A M u and the update u + t at delta.
 
 The Arnoldi step orthogonalizes w = round(A M v_k, delta_k) by MGS in
 exact arithmetic and rounds the result once (_orthogonalize).  The MGS
@@ -62,7 +64,6 @@ from .tt import (
     TTOperator,
     TTVector,
     storage_stats,
-    tt_add,
     tt_apply,
     tt_first_mode_norms,
     tt_inners,
@@ -509,7 +510,7 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
         eta = BackwardErrors(math.nan, math.nan, math.nan, math.nan)
         if assemble:
             t = _combine(v, lsq.solve(), delta_k)
-            x = t if u is None else tt_round(tt_add(u, t), tau)
+            x = t if u is None else tt_round_sum([u, t], [1.0, 1.0], tau)
             # Only the norms are kept: the product would otherwise stay
             # alive through the next iteration's mat-vec.
             eta = replace(backward_errors(chain, x, b, out.estimated_opnorm,
@@ -622,8 +623,8 @@ def tt_right_gmres(a, m: TTOperator | None, b: TTVector,
     r, r_norm = b, beta
     while out.iterations < cfg.maxit:
         if u is not None:
-            r = tt_round(tt_add(b, tt_scale(
-                chain.apply(u, WORKING_PRECISION), -1.0)), cfg.delta)
+            r = tt_round_sum([b, chain.apply(u, WORKING_PRECISION)],
+                             [1.0, -1.0], cfg.delta)
             prev_norm, r_norm = r_norm, tt_norm(r)
             if r_norm > prev_norm * (1.0 - 1e-14):
                 out.meta["stagnated"] = True
@@ -633,7 +634,8 @@ def tt_right_gmres(a, m: TTOperator | None, b: TTVector,
             break
         t, stop = _gmres_cycle(chain, b, beta, u, r, r_norm, cfg, out)
         out.meta["cycles"] += 1
-        u = tt_round(t if u is None else tt_add(u, t), cfg.delta)
+        terms = [t] if u is None else [u, t]
+        u = tt_round_sum(terms, np.ones(len(terms)), cfg.delta)
         if stop == "converged":
             out.converged = True
         elif stop is not None:

@@ -5,6 +5,12 @@ shape ``(r_{k-1}, n_k, r_k)`` with boundary ranks ``r_0 = r_d = 1``.  A
 multilinear operator is stored the same way with order-4 cores of shape
 ``(r_{k-1}, n_k, m_k, r_k)``.
 
+There is one rounding routine, tt_round_sum, which rounds a linear
+combination of TT vectors term by term without forming it; tt_round is its
+one-term case, and rounds an operator as the vector of its fused-mode
+cores.  tt_norm and tt_first_mode_norms take the right-to-left R sweep of
+the same routine.
+
 All objects are immutable after construction (core arrays are marked
 read-only) and every function here is pure, so values can be shared freely
 between threads.  Indices exposed to callers (slicing) are 1-based to match
@@ -462,35 +468,36 @@ def _sum_times_rt(carry: np.ndarray, blocks, rt) -> np.ndarray:
     return total
 
 
-def _right_r_sweep(cores, lead=None, blocks=()):
-    """Right-to-left QR sweep that keeps only the triangular factors.
+def _right_r_sweep(lead, blocks, at=0):
+    """Right-to-left QR sweep of a sum that keeps only the triangular factors.
 
-    Sweeps the tensor whose cores are `cores` or, when `blocks` is given,
-    the chain ``cores[0] ... cores[c-1]`` (c = len(cores)) followed by the
-    sum ``lead @ blockdiag(blocks[0]) ... blockdiag(blocks[-1])`` closed by
-    a column of ones: blocks[i] lists core c+i of every term.  The sum's
-    cores are never formed; each product with a block-diagonal core is
-    taken one term at a time.
+    The sum is the chain ``B_0 ... B_{at-1} lead blockdiag(B_at) ...
+    blockdiag(B_{d-1})`` closed by a column of ones, where blocks[k] lists
+    core k of every term, B_k, and the leading blocks k < at hold one core
+    each (at = 0: lead is the (1, J) row of coefficients).  Its cores are
+    never formed; each product with a block-diagonal core is taken one
+    term at a time.
 
-    Returns (first, rs).  For k >= 1, rs[k] is the R factor of core k with
-    rs[k+1]^T absorbed (geqrf alone, ``mode="r"``: no Q is formed), so
-    cores k, ..., d-1 contract to rs[k]^T times a row-orthonormal matrix;
-    first is core 0 with rs[1]^T absorbed.  The input cores are only read.
+    Returns (first, rs).  For k >= 1, rs[k] is the R factor of core k of
+    the sum with rs[k+1]^T absorbed (geqrf alone, ``mode="r"``: no Q is
+    formed), so cores k, ..., d-1 contract to rs[k]^T times a
+    row-orthonormal matrix; first is core 0 with rs[1]^T absorbed.  The
+    input cores are only read.
     """
-    rs = [None] * (len(cores) + len(blocks))
-    if blocks:
-        rt = None
-        for k in range(len(blocks) - 1, 0, -1):
-            p = np.concatenate([_times_rt(b, r) for b, r in
-                                zip(blocks[k], _split_rt(rt, blocks[k]))])
-            rt = np.linalg.qr(p.reshape(p.shape[0], -1).T, mode="r")
-            rs[len(cores) + k] = rt
-        cores = list(cores) + [_sum_times_rt(lead, blocks[0], rt)]
-    core = cores[-1]
-    for k in range(len(cores) - 1, 0, -1):
-        a, n, b = core.shape
-        rs[k] = np.linalg.qr(core.reshape(a, n * b).T, mode="r")
-        core = _times_rt(cores[k - 1], rs[k])
+    rs = [None] * len(blocks)
+    rt = None
+    for k in range(len(blocks) - 1, -1, -1):
+        if k == at:
+            core = _sum_times_rt(lead, blocks[k], rt)
+        else:
+            parts = [_times_rt(b, r)
+                     for b, r in zip(blocks[k], _split_rt(rt, blocks[k]))]
+            # one core needs no stacking, and its copy would cost a pass
+            # over the swept core
+            core = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if k:
+            rt = rs[k] = np.linalg.qr(core.reshape(core.shape[0], -1).T,
+                                      mode="r")
     return core, rs
 
 
@@ -504,7 +511,7 @@ def tt_norm(x: TTVector) -> float:
     absolute error at eps * |cores| instead of eps * |cores|^2, and it
     cannot go negative.
     """
-    first, _ = _right_r_sweep(x.cores)
+    first, _ = _right_r_sweep(np.ones((1, 1)), [[c] for c in x.cores])
     return float(np.linalg.norm(first))
 
 
@@ -533,33 +540,37 @@ def _sum_blocks(terms, coeffs):
 def tt_first_mode_norms(*terms: TTVector, coeffs=None) -> np.ndarray:
     """Norms of the n_1 slices along the first mode, from one sweep.
 
-    The tensor is the single term x, or the sum of coeffs[j] terms[j]
-    (coeffs default to ones).  After tt_norm's right-to-left R sweep,
+    The tensor is the sum of coeffs[j] terms[j] (coeffs default to ones),
+    a single term x included.  After tt_norm's right-to-left R sweep,
     cores 1, ..., d-1 contract to a row-orthonormal matrix, so slice l has
     the norm of row l of the swept first core.  Entry l-1 is the norm of
     tt_slice_first_mode(x, l); the norm of the returned array is |x|.  A
     sum is swept term by term (see _right_r_sweep): its cores, and their
     zero blocks, are never formed.
     """
-    if len(terms) == 1 and coeffs is None:
-        first, _ = _right_r_sweep(terms[0].cores)
-    else:
-        lead, blocks = _sum_blocks(
-            terms, np.ones(len(terms)) if coeffs is None else coeffs)
-        first, _ = _right_r_sweep([], lead, blocks)
+    first, _ = _right_r_sweep(*_sum_blocks(
+        terms, np.ones(len(terms)) if coeffs is None else coeffs))
     return np.linalg.norm(first[0], axis=1)
 
 
 def _cap_sum_bonds(lead: np.ndarray, blocks):
     """Cut the leading bonds of a sum down to their natural cap, exactly.
 
-    The sum is ``lead @ blockdiag(blocks[0]) ...`` as in _right_r_sweep.
+    The sum is ``lead @ blockdiag(blocks[0]) ...`` as in _sum_blocks.
     While the left unfolding (r_{k-1} n_k, r_k) of its leading core, lead
     applied, is wide, that core is replaced by its QR factor Q and lead
     becomes R.  This is a change of basis, so the tensor is unchanged up
-    to round-off; the QR sweep that follows then works at the capped bond
-    instead of the inflated one.  Returns (head, lead): the Q cores, and
-    the R that lead now carries into blocks[len(head)].
+    to round-off; the sweeps that follow then work at the capped bond
+    instead of the inflated one.  Returns (lead, blocks, at) in the form
+    _right_r_sweep takes: blocks[k] is [Q_k] for k < at, and lead the R
+    that enters blocks[at].
+
+    A single term takes R into its core at once (lead becomes 1, at 0):
+    that product is no larger than the core, and the sweeps then see the
+    capped tensor itself, which keeps rounding a tensor whose parts cancel
+    as accurate as the Q-forming QR-then-SVD rounding.  A sum keeps R
+    apart, as applied to its terms' cores it would form the
+    (r, n, sum_j r_j) core.
     """
     head = []
     for block in blocks[:-1]:
@@ -569,15 +580,13 @@ def _cap_sum_bonds(lead: np.ndarray, blocks):
             break
         core = np.concatenate(list(_carried(lead, block)), axis=2)
         q, lead = np.linalg.qr(core.reshape(a * n, b))
-        head.append(q.reshape(a, n, a * n))
-    return head, lead
-
-
-def _cap_left_bonds(cores: list[np.ndarray]) -> list[np.ndarray]:
-    """_cap_sum_bonds for one tensor: its cores, leading bonds capped."""
-    head, lead = _cap_sum_bonds(np.ones((1, 1)), [[c] for c in cores])
-    c = len(head)
-    return head + [_carry_right(lead, cores[c])] + list(cores[c + 1:])
+        head.append([q.reshape(a, n, a * n)])
+    at = len(head)
+    blocks = head + list(blocks[at:])
+    if len(blocks[at]) == 1:
+        blocks[at] = [_carry_right(lead, blocks[at][0])]
+        lead, at = np.ones((1, 1)), 0
+    return lead, blocks, at
 
 
 def _truncated_basis(w: np.ndarray, tau: float) -> np.ndarray:
@@ -586,80 +595,50 @@ def _truncated_basis(w: np.ndarray, tau: float) -> np.ndarray:
     return u[:, :_min_rank_for_tail(s, tau)]
 
 
-def _round_cores(cores: list[np.ndarray], delta: float) -> list[np.ndarray]:
-    d = len(cores)
-    if d == 1:
-        return [cores[0]]
-    cores = _cap_left_bonds(cores)
-    first, rs = _right_r_sweep(cores)
-    nrm = np.linalg.norm(first)
-    if nrm == 0.0:
-        return [np.zeros((1, c.shape[1], 1)) for c in cores]
-    tau = delta * nrm / np.sqrt(d - 1)
-    out = []
-    m = cores[0]
-    for k in range(d - 1):
-        # m is core k with the carry applied, in the original right basis;
-        # m @ rs[k+1]^T is the unfolding the Q-forming sweep would SVD.
-        a, n, b = m.shape
-        m = m.reshape(a * n, b)
-        w = first.reshape(n, -1) if k == 0 else m @ rs[k + 1].T
-        u = _truncated_basis(w, tau)
-        out.append(u.reshape(a, n, -1))
-        m = _carry_right(u.T @ m, cores[k + 1])
-    out.append(m)
-    return out
-
-
 def tt_round(x, delta: float):
     """Recompress to relative accuracy delta.
 
-    Leading bonds above their natural cap r_{k-1} n_k are first cut by an
-    exact left QR sweep.  A right-to-left sweep then keeps only the R
-    factor R_k of each core's QR (core k with R_{k+1}^T absorbed); no Q is
-    formed.  The left-to-right sweep takes M_k, core k with the carry
-    applied, in its original basis, and truncates the SVD of
-    M_k R_{k+1}^T with per-core cutoff ``delta * |x| / sqrt(d - 1)``: the
-    kept left singular vectors U_r become core k and U_r^T M_k is carried
-    into core k+1.  As the cores right of bond k contract to R_{k+1}^T
-    times a row-orthonormal matrix, M_k R_{k+1}^T has the singular values
-    of the full unfolding at that bond, so this is the QR-then-SVD
-    rounding of Oseledets (SISC 2011).  Ranks never increase;
+    This is tt_round_sum, the one rounding routine, of the single term x.
+    An operator is rounded as the vector of its fused-mode cores
+    ``(r_{k-1}, n_k m_k, r_k)``.  Ranks never increase;
     ``|x - round(x)| <= delta * |x|``.
     """
-    if delta < 0:
-        raise TTError("delta must be >= 0")
-    if _is_operator(x):
-        fused = [c.reshape(c.shape[0], c.shape[1] * c.shape[2], c.shape[3])
-                 for c in x.cores]
-        shapes = [(c.shape[1], c.shape[2]) for c in x.cores]
-        rounded = _round_cores(fused, delta)
-        return make_tt_operator(
-            [c.reshape(c.shape[0], n, m, c.shape[2])
-             for c, (n, m) in zip(rounded, shapes)])
-    return make_tt_vector(_round_cores(list(x.cores), delta))
+    if not _is_operator(x):
+        return tt_round_sum([x], [1.0], delta)
+    fused = make_tt_vector(
+        [c.reshape(c.shape[0], -1, c.shape[3]) for c in x.cores])
+    rounded = tt_round_sum([fused], [1.0], delta)
+    return make_tt_operator(
+        [r.reshape(r.shape[0], c.shape[1], c.shape[2], r.shape[2])
+         for r, c in zip(rounded.cores, x.cores)])
 
 
 def tt_round_sum(terms, coeffs, delta: float) -> TTVector:
     """round(sum_j coeffs[j] terms[j], delta), without forming the sum.
 
-    Computes tt_round(tt_add(*[tt_scale(t, c) ...]), delta): the same left
-    caps, R sweep, truncated SVD sweep and per-core cutoff, on the same
-    singular values.  The sum is held as its terms' cores, as
+    This is the one rounding routine: tt_round is its single-term case.
+    It is the QR-then-SVD rounding of Oseledets (SISC 2011) with no Q
+    formed.  The sum is held as its terms' cores, as
     ``c^T blockdiag(B_0) blockdiag(B_1) ... blockdiag(B_{d-1}) 1``, with
     c the coefficients, B_k core k of every term and 1 a column of ones:
     its interior cores, block diagonal with zero blocks off the diagonal,
-    are never formed.  Every product with a block-diagonal core is taken
-    one term at a time:
+    are never formed.
 
-    * the left caps QR the leading core with the carry applied,
-      ``carry @ B_k``, term by term, as tt_round does;
-    * the R sweep absorbs R_{k+1}^T into each block, ``B_k^j R_j^T``
-      (R_j the columns of R_{k+1} on term j's bond), and stacks the
-      results, which is the swept core of the sum;
-    * the SVD sweep forms ``W_k = sum_j (carry_j B_k^j) R_j^T``, truncates
-      its SVD, and carries ``U_r^T (carry_j B_k^j)`` into core k+1, one
-      term at a time, so the carried core (r, n, sum_j r_j) never exists.
+    * Leading bonds above their natural cap r_{k-1} n_k are first cut by
+      an exact left QR sweep (_cap_sum_bonds).
+    * A right-to-left sweep keeps only the R factor R_k of each core's QR
+      (core k with R_{k+1}^T absorbed); for a sum it absorbs R_{k+1}^T
+      into each block, ``B_k^j R_j^T`` (R_j the columns of R_{k+1} on term
+      j's bond), and stacks the results, which is the swept core of the
+      sum (_right_r_sweep).
+    * The left-to-right sweep forms ``W_k = sum_j (carry_j B_k^j) R_j^T``,
+      which has the singular values of the sum's unfolding at bond k, as
+      the cores right of it contract to R_{k+1}^T times a row-orthonormal
+      matrix.  It truncates the SVD of W_k with per-core cutoff
+      ``delta * |x| / sqrt(d - 1)``; the kept left singular vectors U_r
+      become core k, and ``U_r^T (carry_j B_k^j)`` is carried into core
+      k+1, one term at a time, so the carried core (r, n, sum_j r_j) never
+      exists.
 
     Work and memory grow linearly with the number of terms, where rounding
     the formed sum also spends both on its zero blocks.  Ranks never
@@ -672,29 +651,34 @@ def tt_round_sum(terms, coeffs, delta: float) -> TTVector:
     d = len(blocks)
     if d == 1:
         return make_tt_vector([_sum_times_rt(lead, blocks[0], None)])
-    head, lead = _cap_sum_bonds(lead, blocks)
-    c = len(head)
-    first, rs = _right_r_sweep(head, lead, blocks[c:])
+    lead, blocks, at = _cap_sum_bonds(lead, blocks)
+    first, rs = _right_r_sweep(lead, blocks, at)
     nrm = np.linalg.norm(first)
     if nrm == 0.0:
         return tt_zero([block[0].shape[1] for block in blocks])
     tau = delta * nrm / np.sqrt(d - 1)
     out = []
     carry = np.ones((1, 1))
-    for k, block in enumerate([[h] for h in head] + blocks[c:]):
-        if k == c:
+    for k, block in enumerate(blocks):
+        if k == at:
             carry = carry @ lead
         if k == d - 1:
             out.append(_sum_times_rt(carry, block, None))
             break
         a, n = carry.shape[0], block[0].shape[1]
-        w = first if k == 0 else _sum_times_rt(carry, block, rs[k + 1])
+        if len(block) == 1:
+            products = [_carry_right(carry, block[0])]
+            w = _times_rt(products[0], rs[k + 1]) if k else first
+        else:
+            # carry_j B_k^j is formed again for the carry rather than kept
+            # from W_k: held together, those products are the
+            # (a, n, sum_j r_j) core.
+            products = _carried(carry, block)
+            w = _sum_times_rt(carry, block, rs[k + 1]) if k else first
         u = _truncated_basis(w.reshape(a * n, -1), tau)
         out.append(u.reshape(a, n, -1))
-        # carry_j B_k^j is formed again rather than kept from W_k: held
-        # together, those products are the (a, n, sum_j r_j) core.
         carry = np.concatenate([u.T @ m.reshape(a * n, -1)
-                                for m in _carried(carry, block)], axis=1)
+                                for m in products], axis=1)
     return make_tt_vector(out)
 
 

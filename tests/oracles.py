@@ -4,7 +4,7 @@ and reference constructions that the package's faster builders replaced."""
 import numpy as np
 
 from ttkrylov import TTOperator, make_tt_operator, make_tt_vector, tt_round
-from ttkrylov.tt import _cap_left_bonds, _carry_right, _min_rank_for_tail
+from ttkrylov.tt import _carry_right, _min_rank_for_tail
 
 
 def dense_from_cores(cores):
@@ -146,6 +146,26 @@ def right_orthogonalize(cores):
     return cores
 
 
+def cap_left_bonds(cores):
+    """Cut leading bonds above their natural cap r_{k-1} n_k, exactly.
+
+    While the left unfolding (r_{k-1} n_k, r_k) of the leading core is
+    wide, that core is replaced by the Q of its QR and R is multiplied
+    into the next core.  The last core is never replaced.  Returns a new
+    list; the input cores are only read.
+    """
+    cores = list(cores)
+    for k in range(len(cores) - 1):
+        a, n, b = cores[k].shape
+        if a * n >= b:
+            break
+        q, r = np.linalg.qr(cores[k].reshape(a * n, b))
+        cores[k] = q.reshape(a, n, a * n)
+        _, m, c = cores[k + 1].shape
+        cores[k + 1] = (r @ cores[k + 1].reshape(b, m * c)).reshape(-1, m, c)
+    return cores
+
+
 def round_cores_forming_q(cores, delta):
     """QR-then-SVD rounding (Oseledets, SISC 2011) with every Q formed.
 
@@ -155,7 +175,7 @@ def round_cores_forming_q(cores, delta):
     d = len(cores)
     if d == 1:
         return [cores[0]]
-    cores = right_orthogonalize(_cap_left_bonds(cores))
+    cores = right_orthogonalize(cap_left_bonds(cores))
     nrm = np.linalg.norm(cores[0])
     if nrm == 0.0:
         return [np.zeros((1, c.shape[1], 1)) for c in cores]

@@ -1,5 +1,6 @@
-"""Every name a ttkrylov module imports is used in it, and every name in its
-``__all__`` is bound in it.
+"""Every name a ttkrylov module imports is used in it, every name in its
+``__all__`` is bound in it, and every private module-level function is
+referenced somewhere in the package.
 
 Only the standard library's ``ast`` is used, so the check runs wherever the
 tests do.  A module's ``__all__`` entries count as uses, and ``__init__.py``
@@ -74,3 +75,42 @@ def test_detects_an_unbound_public_name():
                          ids=lambda p: p.name)
 def test_all_names_are_bound(path):
     assert unbound_public_names(path.read_text()) == []
+
+
+def unreferenced_helpers(sources) -> list[str]:
+    """Module-level private functions that no module of `sources` refers to.
+
+    `sources` are the texts of the package's modules.  A reference is a
+    name, an attribute or an imported name anywhere but in the function's
+    own definition, so a helper that only calls itself is unreferenced.
+    """
+    helpers, refs = set(), set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            own = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                helpers.add(own)
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias)
+                        else None)
+                if name != own:
+                    refs.add(name)
+    return sorted(helpers - refs)
+
+
+def test_detects_an_unreferenced_helper():
+    a = ("def _called(): pass\n"
+         "def _imported(): pass\n"
+         "def _as_attribute(): pass\n"
+         "def _recursive(n): return _recursive(n - 1)\n"
+         "def f(): return _called()\n")
+    b = "from . import a\nfrom .a import _imported\na._as_attribute()\n"
+    assert unreferenced_helpers([a, b]) == ["_recursive"]
+
+
+def test_every_private_function_is_referenced():
+    # A helper the package no longer calls is deleted, not kept for tests.
+    assert unreferenced_helpers(p.read_text() for p in SRC.glob("*.py")) \
+        == []

@@ -573,6 +573,55 @@ class TestAssembly:
             err = np.linalg.norm(tt_to_dense(t) - vy)
             assert err <= (delta + 1e-12) * np.linalg.norm(vy)
 
+    @pytest.mark.parametrize("preconditioned", [False, True],
+                             ids=["plain", "preconditioned"])
+    def test_restart_sums_are_roundings_of_the_exact_sums(
+            self, monkeypatch, preconditioned):
+        # The restart residual b - A M u and the update u + t are each one
+        # rounding at delta of the exact sum, and the judged iterate
+        # u + t one at tau, checked dense.
+        g = Grid1D(7)
+        prob = poisson_problem(g)
+        precond = inv_laplacian_preconditioner(3, g, 3, 1e-2) \
+            if preconditioned else None
+        calls = []
+        round_sum = solver.tt_round_sum
+
+        def spy(terms, coeffs, delta):
+            z = round_sum(terms, coeffs, delta)
+            caller = sys._getframe(1).f_code.co_name
+            if caller in ("tt_right_gmres", "_gmres_cycle"):
+                calls.append((caller, list(terms), list(coeffs), delta, z))
+            return z
+
+        monkeypatch.setattr(solver, "tt_round_sum", spy)
+        cfg = GmresConfig(m=3 if preconditioned else 4, maxit=40,
+                          epsilon=1e-6, delta=1e-5)
+        out = tt_right_gmres(prob.operator, precond, prob.rhs, cfg)
+        cycles = out.meta["cycles"]
+        assert out.converged and cycles >= 3
+        tau = judge_accuracy(cfg.epsilon)
+        kinds = []
+        for caller, terms, coeffs, delta, z in calls:
+            if caller == "_gmres_cycle":
+                kind, accuracy = "judged", tau
+            elif terms[0] is prob.rhs:
+                kind, accuracy = "residual", cfg.delta
+                assert coeffs == [1.0, -1.0]
+            else:
+                kind, accuracy = "update", cfg.delta
+                assert coeffs == [1.0] * len(terms)
+            # the first call is the first cycle's update, round(t)
+            assert len(terms) == (2 if kinds else 1)
+            assert delta == accuracy
+            kinds.append(kind)
+            exact = sum(c * tt_to_dense(t) for c, t in zip(coeffs, terms))
+            err = np.linalg.norm(tt_to_dense(z) - exact)
+            assert err <= (accuracy + 1e-12) * np.linalg.norm(exact)
+        assert kinds.count("residual") == cycles - 1
+        assert kinds.count("update") == cycles
+        assert kinds.count("judged") == out.iterations - cfg.m
+
 
 class TestRelaxed:
     def test_first_delta_and_schedule(self):
