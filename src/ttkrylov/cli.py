@@ -49,7 +49,6 @@ from .solver import (
     GmresConfig,
     OperatorChain,
     estimate_l2_norm,
-    judge_accuracy,
     tt_right_gmres,
 )
 from .tt import TTError
@@ -143,7 +142,7 @@ class ExperimentConfig:
             raise ConfigError("j: must lie in 1..n-1 for eigen-rhs")
         if self.q < 0:
             raise ConfigError("q: must be >= 0")
-        if self.tau < 0:
+        if not self.tau >= 0:
             raise ConfigError("tau: must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
@@ -232,6 +231,8 @@ def build_config(pairs: dict) -> ExperimentConfig:
                 kwargs[key] = float(val)
             except ValueError:
                 raise ConfigError(f"{key}: expected a number, got {val!r}")
+            if not np.isfinite(kwargs[key]):
+                raise ConfigError(f"{key}: must be finite, got {val!r}")
         else:
             kwargs[key] = val
     if "experiment" not in kwargs:
@@ -365,19 +366,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
                     m = kron_leading_identity(rhs.modes[0], precond)
 
             with _phase(phases, "solve"):
-                gcfg = cfg.gmres_config(keep_iterates=cfg.bounds,
-                                        **overrides)
-                outcome = tt_right_gmres(operator, m, rhs, gcfg)
+                outcome = tt_right_gmres(operator, m, rhs,
+                                         cfg.gmres_config(**overrides))
             solves[suffix] = outcome.converged
 
             report = None
             if cfg.bounds:
                 with _phase(phases, "diagnose"):
                     chain = [operator] if m is None else [operator, m]
-                    report = verify_bounds(
-                        OperatorChain(chain), rhs, outcome.iterates,
-                        outcome.estimated_opnorm, seed=cfg.seed,
-                        accuracy=judge_accuracy(gcfg.epsilon))
+                    report = verify_bounds(OperatorChain(chain), rhs,
+                                           outcome.judgements, seed=cfg.seed)
 
             with _phase(phases, "write"):
                 files.extend(emit_trace(outcome, report,

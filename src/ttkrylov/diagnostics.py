@@ -12,13 +12,13 @@ joint backward error:
 
 The stacked operator is block diagonal, so each slice product A_l x^[l] is
 an exact slice of the joint product A x: one product per iterate gives the
-joint and every per-slice residual, with no slice operator applied.  Each
-iterate is judged as the solver judges it, at the accuracy tau the solver
-used (its M x rounded at tau, the last product exact and never rounded), so
-the report's joint eta is the trace's.  The joint and per-slice norms of x,
-A x and b - A x come from one right-to-left R sweep of each of them
-(tt_first_mode_norms): no slice is formed and no iterate's vector is swept
-twice.
+joint and every per-slice residual, with no slice operator applied.  That
+product is the solver's: each iterate is judged once, when the solver
+assembles it, and the report reads the judgements (GmresOutcome.judgements),
+so its joint eta is the trace's and it forms no product with A.  A
+judgement carries the |A| it was taken at and the joint and per-slice norms
+of x, A x and b - A x, from the R sweeps of x and of the terms b and A x
+(tt_first_mode_norms): no slice is formed and no iterate need be kept.
 
 Operator norms are sampled estimates; the per-slice estimates are augmented
 with the Rayleigh quotients of the iterates themselves so the inequalities
@@ -35,10 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import (NORM_SAMPLES, WORKING_PRECISION, BackwardErrors,
-                     OperatorChain, _as_chain, backward_errors,
-                     estimate_l2_norm)
-from .tt import TTVector, tt_first_mode_norms, tt_norm, tt_op_diag_slice
+from .solver import (NORM_SAMPLES, BackwardErrors, OperatorChain, _as_chain,
+                     backward_errors, estimate_l2_norm)
+from .tt import TTVector, tt_first_mode_norms, tt_op_diag_slice
 
 __all__ = [
     "BackwardErrors",
@@ -118,19 +117,19 @@ def _detect_k_star(ax_norm_hist: np.ndarray, window: int = 3,
     return n_it - 1
 
 
-def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
-                  opnorm_Ainv: float | None = None, seed: int = 0,
-                  accuracy: float = WORKING_PRECISION) -> BoundReport:
+def verify_bounds(a, b: TTVector, judgements,
+                  opnorm_Ainv: float | None = None,
+                  seed: int = 0) -> BoundReport:
     """Evaluate the per-slice backward-error bounds along a solve.
 
-    `a` is the all-in-one operator or chain (operator + preconditioner);
-    `iterates` the assembled iterates per iteration (preconditioned
-    variable when a preconditioner is part of the chain).  The joint
-    product A x of each iterate is formed once, by backward_errors at
-    `accuracy` (pass the solver's judge_accuracy(epsilon) to judge as the
-    trace did); as the stacked operator is block diagonal, A_l x^[l] is its
-    l-th slice, so the slice norms of A x and b - A x are those of A_l
-    x^[l] and of the slice residuals.  Checks, per iteration and slice:
+    `a` is the all-in-one operator or chain (operator + preconditioner) and
+    `judgements` the solver's BackwardErrors of its assembled iterates
+    (GmresOutcome.judgements; of the preconditioned variable when a
+    preconditioner is part of the chain).  The report reuses them: their
+    joint eta, their |A| and the first-mode slice norms of x, A x and
+    b - A x, which are those of x^[l], A_l x^[l] and the slice residuals as
+    the stacked operator is block diagonal.  `a` is applied only to the
+    sampled slice-norm estimates.  Checks, per iteration and slice:
 
       * eta_b * sqrt(p) >= eta_b_l
       * eta_Ab * rho_l  >= eta_Ab_l
@@ -142,11 +141,13 @@ def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
     chain = _as_chain(a)
     p = b.modes[0]
     sp = math.sqrt(p)
-    n_it = len(iterates)
+    n_it = len(judgements)
     if n_it == 0:
-        raise ValueError("need at least one iterate")
+        raise ValueError("need at least one judgement")
+    opnorm_A = judgements[0].opnorm
+    if any(j.opnorm != opnorm_A for j in judgements):
+        raise ValueError("judgements taken at different |A|")
     b_slice_norms = tt_first_mode_norms(b)
-    bnorm = tt_norm(b)
 
     sub_chains = [OperatorChain([tt_op_diag_slice(f, ell)
                                  for f in chain.factors])
@@ -158,19 +159,10 @@ def verify_bounds(a, b: TTVector, iterates, opnorm_A: float,
                        for sc in sub_chains[1:]
                        for f, f0 in zip(sc.factors, sub_chains[0].factors))
 
-    eta_b = np.zeros(n_it)
-    eta_ab = np.zeros(n_it)
-    x_norm = np.zeros(n_it)
-    res_slice = np.zeros((n_it, p))
-    ax_slice = np.zeros((n_it, p))
-    x_slice_norm = np.zeros((n_it, p))
-    for k, x in enumerate(iterates):
-        joint = backward_errors(chain, x, b, opnorm_A, bnorm, accuracy)
-        eta_b[k], eta_ab[k], x_norm[k] = \
-            joint.eta_b, joint.eta_Ab, joint.x_norm
-        res_slice[k] = joint.residual_slice_norms
-        x_slice_norm[k] = joint.x_slice_norms
-        ax_slice[k] = tt_first_mode_norms(joint.product)
+    eta_b, eta_ab, x_norm, res_slice, ax_slice, x_slice_norm = (
+        np.array([getattr(j, name) for j in judgements])
+        for name in ("eta_b", "eta_Ab", "x_norm", "residual_slice_norms",
+                     "product_slice_norms", "x_slice_norms"))
 
     # Sampled slice norms, sharpened with every iterate's Rayleigh quotient.
     rayleigh = np.divide(ax_slice, x_slice_norm,

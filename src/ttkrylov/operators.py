@@ -301,7 +301,7 @@ def inv_laplacian_preconditioner(d: int, g: Grid1D, q: int,
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be >= 0")
     n = g.n
     # Exact sine eigenbasis of the 1-d tridiagonal Toeplitz Laplacian.

@@ -16,7 +16,8 @@ once at the end.  Every iteration is logged as an IterationRecord; its eta
 is the normwise backward error, from backward_errors, of the assembled
 iterate x = round(u + t, tau) (x = t in the first cycle) on the whole
 system A M x = b, and convergence is judged on it.  Rounding the sum keeps
-A M from being applied at rank r_u + r_t.
+A M from being applied at rank r_u + r_t.  The outcome keeps every
+judgement, with its slice norms, for the bound report to read.
 
 The judge works at the precision its verdict needs,
 tau = max(WORKING_PRECISION, JUDGE_ACCURACY * epsilon).  It rounds M x at
@@ -125,10 +126,10 @@ class GmresConfig:
     plateau_window: int = 0           # 0 disables plateau detection
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and > 0")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError("delta must be finite and >= 0")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.maxit < self.m:
@@ -177,13 +178,15 @@ class IterationRecord:
 
 @dataclass
 class GmresOutcome:
-    """Result of a solve: iterate, status and trace."""
+    """Result of a solve: iterate, status, trace, and the BackwardErrors
+    of every assembled iterate, in trace order (`judgements`)."""
 
     solution: TTVector
     converged: bool
     iterations: int
     trace: list[IterationRecord]
     estimated_opnorm: float
+    judgements: list[BackwardErrors] = field(default_factory=list)
     iterates: list[TTVector] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
@@ -336,22 +339,21 @@ def estimate_l2_norm(op, samples: int = NORM_SAMPLES,
 class BackwardErrors:
     """Normwise backward errors of one iterate on one system.
 
-    The by-products take no part in equality: `product` is A x, and
-    `residual_slice_norms` and `x_slice_norms` are the norms of the slices
-    of b - A x and x along the first mode, from the sweeps that gave
-    `residual_norm` and `x_norm`.
+    `opnorm` is the |A| the judgement was taken at.  The by-products take
+    no part in equality: `residual_slice_norms`, `product_slice_norms` and
+    `x_slice_norms` are the norms of the slices of b - A x, A x and x
+    along the first mode, from the sweeps that gave `residual_norm` and
+    `x_norm`: all that the per-slice bound report needs of the iterate.
     """
 
     eta_b: float
     eta_Ab: float
     residual_norm: float
     x_norm: float
-    product: TTVector | None = field(default=None, compare=False,
-                                     repr=False)
-    residual_slice_norms: np.ndarray | None = field(default=None,
-                                                    compare=False, repr=False)
-    x_slice_norms: np.ndarray | None = field(default=None, compare=False,
-                                             repr=False)
+    opnorm: float
+    residual_slice_norms: np.ndarray = field(compare=False, repr=False)
+    product_slice_norms: np.ndarray = field(compare=False, repr=False)
+    x_slice_norms: np.ndarray = field(compare=False, repr=False)
 
 
 def judge_accuracy(epsilon: float) -> float:
@@ -370,11 +372,11 @@ def backward_errors(a, x: TTVector, b: TTVector, opnorm: float,
     of one system norms b once.  The product A x is formed by
     `a.apply(x, accuracy)`: rounded at `accuracy` between the factors of
     a chain, the last factor's product exact.  It is never rounded, and
-    b - A x is normed by one R sweep of the terms b and A x, so the
-    residual is exact for the vector judged and its cores are never
-    formed; a single operator rounds nothing.  The product is
-    returned as `product`, with the norms of b - A x and x and of their
-    first-mode slices (tt_first_mode_norms).
+    one R sweep of the terms b and A x (tt_first_mode_norms) norms the
+    first-mode slices of b - A x and of A x, so the residual is exact for
+    the vector judged and its cores are never formed; a single operator
+    rounds nothing.  The product is dropped once swept: the judgement
+    keeps only norms, of b - A x, A x and x and of their slices.
     """
     if opnorm < 0:
         raise ValueError("opnorm must be >= 0")
@@ -382,8 +384,8 @@ def backward_errors(a, x: TTVector, b: TTVector, opnorm: float,
         bnorm = tt_norm(b)
     if bnorm == 0:
         raise ValueError("rhs has zero norm")
-    ax = _as_chain(a).apply(x, accuracy)
-    r_slices = tt_first_mode_norms(b, ax, coeffs=(1.0, -1.0))
+    r_slices, ax_slices = tt_first_mode_norms(
+        b, _as_chain(a).apply(x, accuracy), coeffs=((1.0, -1.0), (0.0, 1.0)))
     x_slices = tt_first_mode_norms(x)
     rnorm = float(np.linalg.norm(r_slices))
     xnorm = float(np.linalg.norm(x_slices))
@@ -392,8 +394,9 @@ def backward_errors(a, x: TTVector, b: TTVector, opnorm: float,
         eta_Ab=rnorm / (opnorm * xnorm + bnorm),
         residual_norm=rnorm,
         x_norm=xnorm,
-        product=ax,
+        opnorm=opnorm,
         residual_slice_norms=r_slices,
+        product_slice_norms=ax_slices,
         x_slice_norms=x_slices,
     )
 
@@ -451,8 +454,9 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
     r_norm and beta = |b| (Alg. 3 body).
 
     Runs at most cfg.m iterations, and no more than cfg.maxit in total, and
-    appends each iteration's record to `out` (with cfg.keep_iterates, each
-    assembled iterate round(u + t, tau) too, tau = judge_accuracy(epsilon)).
+    appends each iteration's record to `out`, and the judgement of each
+    assembled iterate round(u + t, tau), tau = judge_accuracy(epsilon)
+    (with cfg.keep_iterates, the iterate too).
     Returns (t, stop): t is the least-squares update of the last iteration,
     assembled on exit if that iteration was not, and stop is None
     (restart), "converged", "plateaued" or "stagnated".
@@ -507,14 +511,13 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
             or (k % cfg.assembly_every == 0) \
             or (relaxed and eta_tilde < cfg.epsilon)
         t = None
-        eta = BackwardErrors(math.nan, math.nan, math.nan, math.nan)
+        eta = BackwardErrors(*[math.nan] * 8)
         if assemble:
             t = _combine(v, lsq.solve(), delta_k)
             x = t if u is None else tt_round_sum([u, t], [1.0, 1.0], tau)
-            # Only the norms are kept: the product would otherwise stay
-            # alive through the next iteration's mat-vec.
-            eta = replace(backward_errors(chain, x, b, out.estimated_opnorm,
-                                          beta, tau), product=None)
+            eta = backward_errors(chain, x, b, out.estimated_opnorm, beta,
+                                  tau)
+            out.judgements.append(eta)
             if cfg.keep_iterates:
                 out.iterates.append(x)
 

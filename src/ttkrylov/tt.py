@@ -238,7 +238,7 @@ def tt_from_dense(t: np.ndarray, delta: float) -> TTVector:
     The result ``y`` satisfies ``|dense(y) - t|_F <= delta * |t|_F`` using
     a per-unfolding cutoff of ``delta * |t| / sqrt(d - 1)``.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise TTError("delta must be >= 0")
     t = np.asarray(t, dtype=np.float64)
     if t.ndim == 0:
@@ -476,18 +476,19 @@ def _right_r_sweep(lead, blocks, at=0):
     core k of every term, B_k, and the leading blocks k < at hold one core
     each (at = 0: lead is the (1, J) row of coefficients).  Its cores are
     never formed; each product with a block-diagonal core is taken one
-    term at a time.
+    term at a time.  lead None stands for the J x J identity, which sweeps
+    the J terms together without summing them.
 
     Returns (first, rs).  For k >= 1, rs[k] is the R factor of core k of
     the sum with rs[k+1]^T absorbed (geqrf alone, ``mode="r"``: no Q is
     formed), so cores k, ..., d-1 contract to rs[k]^T times a
-    row-orthonormal matrix; first is core 0 with rs[1]^T absorbed.  The
-    input cores are only read.
+    row-orthonormal matrix; first is core 0 with rs[1]^T absorbed (no lead:
+    every term's, stacked).  The input cores are only read.
     """
     rs = [None] * len(blocks)
     rt = None
     for k in range(len(blocks) - 1, -1, -1):
-        if k == at:
+        if k == at and lead is not None:
             core = _sum_times_rt(lead, blocks[k], rt)
         else:
             parts = [_times_rt(b, r)
@@ -511,7 +512,7 @@ def tt_norm(x: TTVector) -> float:
     absolute error at eps * |cores| instead of eps * |cores|^2, and it
     cannot go negative.
     """
-    first, _ = _right_r_sweep(np.ones((1, 1)), [[c] for c in x.cores])
+    first, _ = _right_r_sweep(None, [[c] for c in x.cores])
     return float(np.linalg.norm(first))
 
 
@@ -519,16 +520,17 @@ def _sum_blocks(terms, coeffs):
     """sum_j coeffs[j] terms[j] as (lead, blocks), for _right_r_sweep.
 
     The sum is ``lead @ blockdiag(blocks[0]) ... blockdiag(blocks[-1])``
-    closed by a column of ones: lead is the (1, J) row of coefficients and
-    blocks[k] lists core k of every term.
+    closed by a column of ones: lead is the (1, J) row of coefficients (K
+    rows for a matrix of coeffs, one per sum) and blocks[k] lists core k
+    of every term.
     """
     terms = list(terms)
     if not terms:
         raise TTError("a sum needs at least one term")
     if any(_is_operator(t) for t in terms):
         raise TTError("only TT vectors are summed term by term")
-    lead = np.asarray(coeffs, dtype=np.float64).reshape(1, -1)
-    if lead.shape[1] != len(terms):
+    lead = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
+    if lead.ndim != 2 or lead.shape[1] != len(terms):
         raise TTError(f"{len(terms)} terms but {lead.shape[1]} coefficients")
     for t in terms[1:]:
         if t.modes != terms[0].modes:
@@ -541,16 +543,18 @@ def tt_first_mode_norms(*terms: TTVector, coeffs=None) -> np.ndarray:
     """Norms of the n_1 slices along the first mode, from one sweep.
 
     The tensor is the sum of coeffs[j] terms[j] (coeffs default to ones),
-    a single term x included.  After tt_norm's right-to-left R sweep,
-    cores 1, ..., d-1 contract to a row-orthonormal matrix, so slice l has
-    the norm of row l of the swept first core.  Entry l-1 is the norm of
-    tt_slice_first_mode(x, l); the norm of the returned array is |x|.  A
-    sum is swept term by term (see _right_r_sweep): its cores, and their
-    zero blocks, are never formed.
+    a single term x included; a matrix of coeffs gives a row of norms per
+    row of coefficients.  tt_norm's right-to-left R sweep of the terms,
+    not summed (see _right_r_sweep), gives each term's swept first core,
+    and cores 1, ..., d-1 contract to a row-orthonormal matrix, so slice l
+    has the norm of row l of the combined swept cores.  Entry l-1 is the
+    norm of tt_slice_first_mode(x, l); the norm of a row is |x|.
     """
-    first, _ = _right_r_sweep(*_sum_blocks(
-        terms, np.ones(len(terms)) if coeffs is None else coeffs))
-    return np.linalg.norm(first[0], axis=1)
+    lead, blocks = _sum_blocks(
+        terms, np.ones(len(terms)) if coeffs is None else coeffs)
+    parts, _ = _right_r_sweep(None, blocks)
+    norms = np.linalg.norm(np.tensordot(lead, parts, axes=1), axis=2)
+    return norms if np.ndim(coeffs) == 2 else norms[0]
 
 
 def _cap_sum_bonds(lead: np.ndarray, blocks):
@@ -645,9 +649,11 @@ def tt_round_sum(terms, coeffs, delta: float) -> TTVector:
     exceed the sum's; ``|x - round(x)| <= delta * |x|`` for x the exact
     sum.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise TTError("delta must be >= 0")
     lead, blocks = _sum_blocks(terms, coeffs)
+    if len(lead) != 1:
+        raise TTError("a rounded sum takes one row of coefficients")
     d = len(blocks)
     if d == 1:
         return make_tt_vector([_sum_times_rt(lead, blocks[0], None)])

@@ -66,6 +66,38 @@ def test_invalid_solver_settings_exit_2(tmp_path, capsys):
     assert err.strip().splitlines()[-1] == "error: maxit must be >= m"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", [
+    f for f, t in get_type_hints(ExperimentConfig).items() if t is float])
+def test_non_finite_floats_rejected(field, value):
+    with pytest.raises(ConfigError,
+                       match=f"^{field}: must be finite, got '{value}'$"):
+        build_config({"experiment": "poisson", field: value})
+
+
+def test_validate_rejects_nan_tau():
+    # A config built in code skips build_config's parse checks.
+    with pytest.raises(ConfigError, match="^tau: must be >= 0$"):
+        ExperimentConfig(experiment="convdiff", tau=float("nan")).validate()
+
+
+@pytest.mark.parametrize("setting", [
+    "epsilon=nan", "delta=nan", "tau=nan", "epsilon=inf"])
+def test_non_finite_values_exit_2(setting, tmp_path, capsys):
+    # Each of these used to run: to maxit (epsilon=nan, exit 1), with a NaN
+    # cutoff and every rank 1 (delta=nan), with a rank-1 preconditioner
+    # (tau=nan, exit 0), or without an end (epsilon=inf).
+    key, value = setting.split("=")
+    code = main(["run", "convdiff_n63", "--set", "n=7", "--set", "m=10",
+                 "--set", "maxit=10", "--set", setting,
+                 "--output", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip().splitlines() == [
+        f"error: {key}: must be finite, got '{value}'"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("preset,setting,message", [
     ("poisson_n63", "assembly_every=0", "assembly_every must be >= 1"),
     ("poisson_n63", "plateau_window=-1", "plateau_window must be >= 0"),
@@ -294,3 +326,24 @@ def test_full_gmres_experiments_take_m_from_maxit(experiment):
     cfg = ExperimentConfig(experiment=experiment, m=50, maxit=10)
     cfg.validate()
     assert cfg.gmres_config().m == 10
+
+
+def test_bounds_run_keeps_no_iterate(tmp_path, monkeypatch):
+    # The bound report reads the solver's judgements, so no iterate vector
+    # outlives its judgement.
+    outcomes = []
+    solve = cli.tt_right_gmres
+
+    def spy(*args):
+        outcomes.append(solve(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(cli, "tt_right_gmres", spy)
+    code = main(["run", "param_convdiff_n15_p5", "--set", "n=7",
+                 "--output", str(tmp_path)])
+    assert code == 0
+    [outcome] = outcomes
+    assert outcome.iterates == []
+    assert len(outcome.judgements) == outcome.iterations
+    rows = (tmp_path / "param_convdiff_n15_p5_bounds.csv").read_text()
+    assert len(rows.splitlines()) == 1 + 5 * outcome.iterations

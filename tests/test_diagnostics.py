@@ -5,7 +5,7 @@ import pytest
 
 from ttkrylov import (tt_op_diag_slice, tt_op_to_dense, tt_slice_first_mode,
                       tt_to_dense)
-from ttkrylov import diagnostics, solver
+from ttkrylov import solver
 from ttkrylov.diagnostics import BoundParams, backward_errors, verify_bounds
 from ttkrylov.operators import (
     Grid1D,
@@ -17,7 +17,7 @@ from ttkrylov.operators import (
     parametric_convection_diffusion_problem,
 )
 from ttkrylov.solver import (NORM_SAMPLES, GmresConfig, OperatorChain,
-                             judge_accuracy, tt_right_gmres)
+                             tt_right_gmres)
 from ttkrylov import tt as tt_module
 from ttkrylov.tt import tt_norm, tt_scale
 
@@ -55,6 +55,12 @@ def solved(request):
     return chain, prob.rhs, out.iterates, dense
 
 
+def judged(chain, b, iterates, opnorm):
+    """The iterates' judgements at |A| = opnorm, as verify_bounds reads
+    them."""
+    return [backward_errors(chain, x, b, opnorm) for x in iterates]
+
+
 def _dense_slice(dense, ell):
     """Block (ell, ell) of an operator acting on p stacked systems."""
     k = dense.shape[0] // P
@@ -87,6 +93,7 @@ def test_backward_errors_take_a_given_rhs_norm(solved):
 
 
 def test_verify_bounds_norms_the_rhs_once(solved, monkeypatch):
+    # The solve norms b once, and its judgements carry |b| into the report.
     chain, b, iterates, a = solved
     calls = []
 
@@ -94,9 +101,9 @@ def test_verify_bounds_norms_the_rhs_once(solved, monkeypatch):
         calls.append(x is b)
         return tt_norm(x)
 
-    monkeypatch.setattr(diagnostics, "tt_norm", spy)
     monkeypatch.setattr(solver, "tt_norm", spy)
-    verify_bounds(chain, b, iterates, np.linalg.norm(a, 2))
+    cfg = GmresConfig(m=40, maxit=40, epsilon=1e-9, delta=1e-12)
+    verify_bounds(chain, b, tt_right_gmres(chain, None, b, cfg).judgements)
     assert sum(calls) == 1
 
 def test_backward_errors_on_a_slice(solved):
@@ -123,7 +130,7 @@ def test_verify_bounds_matches_dense(solved):
     bd = tt_to_dense(b).ravel()
     norm_a = np.linalg.norm(a, 2)
     norm_ainv = np.linalg.norm(np.linalg.inv(a), 2)
-    report = verify_bounds(chain, b, iterates, norm_a,
+    report = verify_bounds(chain, b, judged(chain, b, iterates, norm_a),
                            opnorm_Ainv=norm_ainv)
     assert report.violations == []
     assert report.p == P and report.iterations == len(iterates)
@@ -168,7 +175,8 @@ def test_slice_residuals_add_up_to_the_joint_residual(solved):
     # The slice residuals are exact slices of the one joint residual, so
     # their norms add up to its norm to the accuracy of the norms alone.
     chain, b, iterates, a = solved
-    report = verify_bounds(chain, b, iterates, np.linalg.norm(a, 2))
+    report = verify_bounds(chain, b, judged(chain, b, iterates,
+                                            np.linalg.norm(a, 2)))
     bnorm = tt_norm(b)
     b_slice_norms = np.array([tt_norm(tt_slice_first_mode(b, ell + 1))
                               for ell in range(P)])
@@ -179,8 +187,10 @@ def test_slice_residuals_add_up_to_the_joint_residual(solved):
 
 
 def test_verify_bounds_applies_no_slice_chain(solved, monkeypatch):
-    # One joint product per iterate, plus the sampled slice-norm estimates.
+    # The judgements hold every product; only the sampled slice-norm
+    # estimates apply a chain.
     chain, b, iterates, a = solved
+    judgements = judged(chain, b, iterates, np.linalg.norm(a, 2))
     calls = []
     apply = OperatorChain.apply
 
@@ -189,8 +199,8 @@ def test_verify_bounds_applies_no_slice_chain(solved, monkeypatch):
         return apply(self, x, delta)
 
     monkeypatch.setattr(OperatorChain, "apply", counted)
-    verify_bounds(chain, b, iterates, np.linalg.norm(a, 2))
-    assert len(calls) == len(iterates) + P * NORM_SAMPLES
+    verify_bounds(chain, b, judgements)
+    assert len(calls) == P * NORM_SAMPLES
 
 
 @pytest.mark.parametrize("preconditioned", [False, True],
@@ -202,14 +212,11 @@ def test_report_judges_as_the_trace_did(preconditioned):
     precond = kron_leading_identity(
         P, inv_laplacian_preconditioner(3, g, 2, 1e-2)) \
         if preconditioned else None
-    cfg = GmresConfig(m=40, maxit=40, epsilon=1e-6, delta=1e-8,
-                      keep_iterates=True)
+    cfg = GmresConfig(m=40, maxit=40, epsilon=1e-6, delta=1e-8)
     out = tt_right_gmres(prob.operator, precond, prob.rhs, cfg)
     assert out.converged
     chain = OperatorChain([prob.operator] + ([precond] if precond else []))
-    report = verify_bounds(chain, prob.rhs, out.iterates,
-                           out.estimated_opnorm,
-                           accuracy=judge_accuracy(cfg.epsilon))
+    report = verify_bounds(chain, prob.rhs, out.judgements)
     eta = [r.eta_AMb if preconditioned else r.eta_Ab for r in out.trace]
     assert report.eta_Ab == eta
     assert report.eta_b == [r.eta_b for r in out.trace]
@@ -217,10 +224,10 @@ def test_report_judges_as_the_trace_did(preconditioned):
 
 
 def test_verify_bounds_sweeps_each_vector_once(solved, monkeypatch):
-    # Per iterate, one R sweep each of x, A x and b - A x gives every joint
-    # and per-slice norm; b is swept for its slices and for |b|, and the
-    # sampled estimates norm each sample and its image.
+    # The judgements hold every norm of the iterates; b is swept once, for
+    # its slices, and the sampled estimates norm each sample and its image.
     chain, b, iterates, a = solved
+    judgements = judged(chain, b, iterates, np.linalg.norm(a, 2))
     callers = []
     sweep = tt_module._right_r_sweep
 
@@ -229,9 +236,9 @@ def test_verify_bounds_sweeps_each_vector_once(solved, monkeypatch):
         return sweep(*args)
 
     monkeypatch.setattr(tt_module, "_right_r_sweep", spy)
-    verify_bounds(chain, b, iterates, np.linalg.norm(a, 2))
-    assert callers.count("tt_first_mode_norms") == 3 * len(iterates) + 1
-    assert callers.count("tt_norm") == 1 + 2 * P * NORM_SAMPLES
+    verify_bounds(chain, b, judgements)
+    assert callers.count("tt_first_mode_norms") == 1
+    assert callers.count("tt_norm") == 2 * P * NORM_SAMPLES
 
 
 @pytest.mark.parametrize("preconditioned", [False, True],
@@ -248,9 +255,12 @@ def test_selector_follows_the_slice_operators(preconditioned):
         shared.append(kron_leading_identity(P, precond))
         varied.append(kron_leading_identity(P, precond))
     rhs = all_in_one_rhs([base.rhs, tt_scale(base.rhs, 2.0)])
-    report = verify_bounds(OperatorChain(shared), rhs, [rhs], 1.0)
+    report = verify_bounds(OperatorChain(shared), rhs,
+                           judged(OperatorChain(shared), rhs, [rhs], 1.0))
     assert report.selector == "gamma"
-    report = verify_bounds(OperatorChain(varied), param.rhs, [param.rhs], 1.0)
+    report = verify_bounds(
+        OperatorChain(varied), param.rhs,
+        judged(OperatorChain(varied), param.rhs, [param.rhs], 1.0))
     assert report.selector == "upsilon"
 
 
@@ -268,6 +278,6 @@ def test_psi_check_uses_the_joint_norm_on_both_sides():
     assert out.converged
     for opnorm in (out.estimated_opnorm,
                    np.linalg.norm(tt_op_to_dense(op), 2)):
-        report = verify_bounds(op, rhs, out.iterates, opnorm)
+        report = verify_bounds(op, rhs, judged(op, rhs, out.iterates, opnorm))
         assert report.selector == "gamma"
         assert report.violations == []

@@ -237,6 +237,11 @@ class TestPreconditioner:
         r = tt_add(amw, tt_scale(w, -1.0))
         assert tt_norm(r) <= 0.1
 
+    @pytest.mark.parametrize("tau", [-1.0, np.nan])
+    def test_rejects_bad_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be >= 0"):
+            inv_laplacian_preconditioner(3, Grid1D(8, 0.0, 1.0), 3, tau)
+
     def test_pre_round_rank(self):
         g = Grid1D(8, 0.0, 1.0)
         m = inv_laplacian_preconditioner(3, g, 3, 0.0)

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -676,6 +677,14 @@ class TestConfigValidation:
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):
             GmresConfig(epsilon=0.0)
+
+    @pytest.mark.parametrize("field", ["epsilon", "delta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_accuracy(self, field, value):
+        # NaN passes every ordered comparison check as False, and an
+        # infinite epsilon leaves epsilon - tau undefined.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            GmresConfig(**{field: value})
 
     def test_bad_maxit(self):
         with pytest.raises(ValueError):

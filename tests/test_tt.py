@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttkrylov import (
@@ -123,6 +123,11 @@ class TestFromToDense:
         x = tt_from_dense(t, 1e-14)
         assert x.ranks == (1, 1, 1, 1)
         np.testing.assert_allclose(tt_to_dense(x), t, atol=1e-12)
+
+    @pytest.mark.parametrize("delta", [-0.1, np.nan])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(TTError, match="delta must be >= 0"):
+            tt_from_dense(np.ones((2, 3)), delta)
 
     def test_zero_tensor(self):
         x = tt_from_dense(np.zeros((3, 4, 5)), 0.5)
@@ -480,17 +485,33 @@ def _formed_sum(terms, coeffs):
     return tt_add(*[tt_scale(t, c) for t, c in zip(terms, coeffs)])
 
 
+#: A sum whose ranks at delta = 0 round-off decides: the exact sum has rank
+#: 1 at bond 3; with one OpenBLAS thread tt_round_sum keeps (1, 2, 2, 1, 1)
+#: and tt_round of the formed sum (1, 2, 2, 2, 1), a round-off singular
+#: value kept.
+ROUND_OFF_RANK_SUM = (
+    [rand_vec((2, 4, 1, 2), (1, 4, 2, 2, 1), seed=1980610037),
+     rand_vec((2, 4, 1, 2), (1, 4, 1, 1, 1), seed=2244585779)],
+    np.array([0.0, 0.317]))
+
+
 class TestRoundSum:
     """tt_round_sum is tt_round of the formed sum, never formed."""
 
     @settings(max_examples=300, deadline=None)
     @given(scaled_terms(), st.sampled_from([0.0, 1e-10, 1e-4, 0.3]))
+    @example(ROUND_OFF_RANK_SUM, 0.0)
     def test_matches_round_of_formed_sum(self, case, delta):
         terms, coeffs = case
         x = _formed_sum(terms, coeffs)
         z = tt_round_sum(terms, coeffs, delta)
         ref = tt_round(x, delta)
-        assert z.ranks == ref.ranks
+        if delta > 0:
+            assert z.ranks == ref.ranks
+        else:
+            # The cutoff keeps every singular value above 0, so round-off
+            # decides the ranks: the contract is only that none increases.
+            assert all(r <= s for r, s in zip(z.ranks, x.ranks))
         exact = tt_to_dense(x)
         nrm = np.linalg.norm(exact)
         assert np.linalg.norm(tt_to_dense(z) - tt_to_dense(ref)) \
@@ -506,6 +527,26 @@ class TestRoundSum:
         np.testing.assert_allclose(
             tt_first_mode_norms(*terms, coeffs=coeffs),
             tt_first_mode_norms(x), rtol=0, atol=1e-12 * nrm)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scaled_terms())
+    def test_per_term_slice_norms_from_one_sweep(self, case):
+        # Every row of a coefficient matrix is read off one sweep: the
+        # identity's rows are each term's own slice norms, and the sum less
+        # its formed copy cancels to round-off.
+        terms, coeffs = case
+        x = _formed_sum(terms, coeffs)
+        rows = np.vstack([np.eye(len(terms) + 1), np.append(coeffs, -1.0)])
+        norms = tt_first_mode_norms(*terms, x, coeffs=rows)
+        assert norms.shape == (len(terms) + 2, terms[0].modes[0])
+        # The shared sweep is backward stable for the stacked terms, so a
+        # small term is exact to the largest one's round-off.
+        top = max(tt_norm(t) for t in terms + [x])
+        for row, t in zip(norms, terms + [x]):
+            np.testing.assert_allclose(row, tt_first_mode_norms(t),
+                                       rtol=1e-13, atol=1e-13 * top)
+        assert np.linalg.norm(norms[-1]) <= \
+            1e-12 * top * (1.0 + np.abs(coeffs).sum())
 
     def test_all_zero_sum(self):
         terms = [rand_vec((3, 4, 2), (1, 3, 2, 1), seed=11),
@@ -535,7 +576,10 @@ class TestRoundSum:
          ModeMismatchError),
         ([tt_identity_operator((2, 3))], [1.0], 0.1, TTError),
         ([tt_ones((2, 3))], [1.0], -0.1, TTError),
-    ], ids=["empty", "coeff-count", "modes", "operator", "negative-delta"])
+        ([tt_ones((2, 3))], [1.0], np.nan, TTError),
+        ([tt_ones((2, 3))], [[1.0], [2.0]], 0.1, TTError),
+    ], ids=["empty", "coeff-count", "modes", "operator", "negative-delta",
+            "nan-delta", "coeff-rows"])
     def test_rejects_bad_input(self, terms, coeffs, delta, error):
         with pytest.raises(error):
             tt_round_sum(terms, coeffs, delta)
