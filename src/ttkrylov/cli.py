@@ -47,6 +47,7 @@ from .operators import (
 )
 from .solver import (
     GmresConfig,
+    IterationRecord,
     OperatorChain,
     estimate_l2_norm,
     tt_right_gmres,
@@ -54,9 +55,8 @@ from .solver import (
 from .tt import TTError
 
 #: IterationRecord's fields in order, with k written as iter
-TRACE_COLUMNS = ("iter", "eta_b", "eta_Ab", "eta_AMb", "eta_tilde_b",
-                 "lsq_residual", "true_residual", "max_rank_v", "max_rank_x",
-                 "cr_last_vec", "cr_basis", "delta_used")
+TRACE_COLUMNS = tuple("iter" if f.name == "k" else f.name
+                      for f in dataclasses.fields(IterationRecord))
 BOUND_COLUMNS = ("iter", "ell", "eta_b_slice", "eta_Ab_slice", "rho_ell",
                  "rho_star", "psi_ell")
 
@@ -334,8 +334,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
     """Build, solve, diagnose and write one experiment; returns the manifest.
 
     The manifest's "solves" maps each system's output suffix to whether
-    that solve converged, and "environment" records the numpy version, the
-    BLAS name and version and the BLAS thread variables.
+    that solve converged, "bound_violations" the suffix of each solve with
+    a bound report to the number of violations in it, and "environment"
+    records the numpy version, the BLAS name and version and the BLAS
+    thread variables.
     """
     warnings = cfg.validate()
     for w in warnings:
@@ -348,6 +350,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
     phases = {}
     files: list[Path] = []
     solves = {}
+    bound_violations = {}
     spec = EXPERIMENTS[cfg.experiment]
     g = Grid1D(cfg.n, *spec.interval)
 
@@ -376,6 +379,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
                     chain = [operator] if m is None else [operator, m]
                     report = verify_bounds(OperatorChain(chain), rhs,
                                            outcome.judgements, seed=cfg.seed)
+                bound_violations[suffix] = len(report.violations)
 
             with _phase(phases, "write"):
                 files.extend(emit_trace(outcome, report,
@@ -392,6 +396,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
         "total_seconds": time.time() - t_start,
         "converged": all(solves.values()) or not spec.judged,
         "solves": solves,
+        "bound_violations": bound_violations,
         "files": [str(f) for f in files],
     }
     mpath = prefix.with_name(prefix.name + "_manifest.json")
@@ -541,7 +546,8 @@ def main(argv=None) -> int:
     runp.add_argument("--output", default=".", help="output directory")
     runp.add_argument("--format", choices=("csv", "json"), default=None)
     runp.add_argument("--jobs", type=int, default=1,
-                      help="run independent configs concurrently")
+                      help="run independent configs concurrently, in at "
+                      "most one process per config")
 
     sub.add_parser("presets", help="list built-in experiment presets")
 
@@ -557,6 +563,9 @@ def main(argv=None) -> int:
             print(f"{path.stem:28s} {head}")
         return 0
 
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return 2
     overrides = {}
     for item in args.set:
         if "=" not in item:
@@ -575,8 +584,9 @@ def main(argv=None) -> int:
     jobs = [(str(p), overrides, args.output, args.format) for p in paths]
     failures = 0
     try:
-        if args.jobs > 1 and len(jobs) > 1:
-            with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
+        workers = min(args.jobs, len(jobs))
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
                 results = list(pool.map(_run_one, jobs))
         else:
             results = [_run_one(j) for j in jobs]

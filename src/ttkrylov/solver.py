@@ -29,6 +29,10 @@ eta by at most 0.4 tau on the measured presets.  The constant policy
 stops only when eta < epsilon - tau, a margin that keeps the certificate
 under that perturbation.
 
+Each cycle keeps its (m+1) x m Hessenberg matrix and, after every step,
+solves the small least-squares problem by one dense QR (hessenberg_lsq);
+at m <= 100 that QR is small next to the TT arithmetic of a step.
+
 Every rounded sum is one tt_round_sum, which works on the terms one at a
 time and never forms the rank-sum cores: the least-squares update t = V y
 at delta_k over the k terms y_j v_j, so it needs no intermediate rounding;
@@ -235,89 +239,29 @@ def _as_chain(op) -> OperatorChain:
     return OperatorChain([op])
 
 
-class GivensLsq:
-    """Incremental solver for min |beta e_1 - Hbar y| via plane rotations.
-
-    Appending column k costs O(k): previous rotations are replayed on the new
-    column and one new rotation annihilates the subdiagonal entry.
-    """
-
-    def __init__(self, beta: float):
-        self.cos: list[float] = []
-        self.sin: list[float] = []
-        self.r_cols: list[np.ndarray] = []       # upper-triangular columns
-        self.g = [beta]                          # rotated rhs
-        self.residual = abs(beta)
-
-    @property
-    def k(self) -> int:
-        return len(self.r_cols)
-
-    def append_column(self, h: np.ndarray) -> float:
-        """Add Hessenberg column (k+1 entries incl. subdiagonal); returns
-        the updated least-squares residual."""
-        h = np.array(h, dtype=np.float64)
-        k = self.k
-        if h.size != k + 2:
-            raise ValueError(f"expected {k + 2} entries, got {h.size}")
-        for i in range(k):
-            c, s = self.cos[i], self.sin[i]
-            h[i], h[i + 1] = c * h[i] + s * h[i + 1], \
-                -s * h[i] + c * h[i + 1]
-        denom = math.hypot(h[k], h[k + 1])
-        if denom == 0.0:
-            c, s = 1.0, 0.0
-        else:
-            c, s = h[k] / denom, h[k + 1] / denom
-        self.cos.append(c)
-        self.sin.append(s)
-        h[k] = denom
-        self.r_cols.append(h[:k + 1])
-        self.g.append(-s * self.g[k])
-        self.g[k] = c * self.g[k]
-        self.residual = abs(self.g[-1])
-        return self.residual
-
-    def pop_column(self) -> float:
-        """Undo the last append_column; returns the restored residual."""
-        c, s = self.cos.pop(), self.sin.pop()
-        self.r_cols.pop()
-        g_last = self.g.pop()
-        self.g[-1] = c * self.g[-1] - s * g_last
-        self.residual = abs(self.g[-1])
-        return self.residual
-
-    def solve(self) -> np.ndarray:
-        """Back-substitute for the current y."""
-        k = self.k
-        y = np.zeros(k)
-        for i in range(k - 1, -1, -1):
-            acc = self.g[i] - sum(self.r_cols[j][i] * y[j]
-                                  for j in range(i + 1, k))
-            rii = self.r_cols[i][i]
-            if rii == 0.0:
-                raise ZeroDivisionError(
-                    "exactly singular triangular factor (lucky breakdown "
-                    "should be handled upstream)")
-            y[i] = acc / rii
-        return y
-
-
 def hessenberg_lsq(hbar: np.ndarray, beta: float):
     """Solve min_y |beta e_1 - Hbar y| for an (k+1) x k Hessenberg matrix.
 
-    Returns (y, lsq_residual).  Uses the same incremental plane rotations as
-    the solver loop.
+    Returns (y, lsq_residual, r_kk) from one QR of [Hbar, beta e_1], whose
+    R holds R_H (Hbar = Q R_H) and, as last column, Q^T beta e_1;
+    r_kk = |R_H[k-1, k-1]| (NaN when k = 0).  As r_jj >= |h_{j+1,j}|,
+    only r_kk can vanish when the subdiagonal is nonzero; if it is exactly
+    0, the minimizer with y_k = 0 is returned.
     """
     hbar = np.asarray(hbar, dtype=np.float64)
     if hbar.ndim != 2 or hbar.shape[0] != hbar.shape[1] + 1:
         raise ValueError("expected a (k+1) x k array")
     if np.any(np.abs(np.tril(hbar, -2)) > 0):
         raise ValueError("matrix is not upper Hessenberg")
-    lsq = GivensLsq(beta)
-    for j in range(hbar.shape[1]):
-        lsq.append_column(hbar[:j + 2, j])
-    return lsq.solve(), lsq.residual
+    k = hbar.shape[1]
+    rhs = np.zeros((k + 1, 1))
+    rhs[0] = beta
+    r = np.linalg.qr(np.hstack((hbar, rhs)), mode="r")
+    r_kk = float(abs(r[k - 1, k - 1])) if k else math.nan
+    n = k if r_kk != 0 else k - 1
+    y = np.zeros(k)
+    y[:n] = np.linalg.solve(r[:n, :n], r[:n, k])
+    return y, math.hypot(*r[n:, k]), r_kk
 
 
 def estimate_l2_norm(op, samples: int = NORM_SAMPLES,
@@ -378,7 +322,7 @@ def backward_errors(a, x: TTVector, b: TTVector, opnorm: float,
     rounds nothing.  The product is dropped once swept: the judgement
     keeps only norms, of b - A x, A x and x and of their slices.
     """
-    if opnorm < 0:
+    if not opnorm >= 0:
         raise ValueError("opnorm must be >= 0")
     if bnorm is None:
         bnorm = tt_norm(b)
@@ -409,25 +353,24 @@ def _combine(v, y, delta: float) -> TTVector:
     return tt_round_sum(v[:len(y)], y, delta)
 
 
-def _orthogonalize(w: TTVector, v, gram: list, stab: float, delta: float):
+def _orthogonalize(w: TTVector, v, gram, stab: float, delta: float):
     """MGS of w against the unit vectors v, exact, then one rounding.
 
     The coefficients are those of MGS on the unrounded running sum
     w_i = w - sum_{j < i, j kept} c_j v_j: c_i = <v_i, w_i> =
     <v_i, w> - sum_{j < i, j kept} <v_i, v_j> c_j, from one tt_inners
-    sweep and the Gram matrix of the basis.  gram[i][j] caches <v_j, v_i>
-    for j < i, NaN until a step first needs it, that is, keeps term j and
-    then reaches term i; the entries of row i that a step needs are taken
-    by one tt_inners sweep.  Rows for vectors added since the last call
-    are appended.  As |w_i - c_i v_i|^2 = |w_i|^2 - c_i^2, the norms of
-    the running sum are exact too.  Term i is left out of the sum when
+    sweep and the Gram matrix of the basis.  gram is a square NaN array of
+    at least len(v) rows, kept across the calls of a cycle: gram[i, j]
+    caches <v_j, v_i> for j < i, NaN until a step first needs it, that
+    is, keeps term j and then reaches term i; the entries of row i that a
+    step needs are taken by one tt_inners sweep.  As
+    |w_i - c_i v_i|^2 = |w_i|^2 - c_i^2, the norms of the running sum are
+    exact too.  Term i is left out of the sum when
     |c_i| <= stab * |w_i - c_i v_i|.  Returns (w', c, kept):
     w' = round(w - sum_{i in kept} c_i v_i, delta) by one tt_round_sum,
     c every coefficient, left-out terms included, and kept the indices of
     the terms in the sum.
     """
-    for i in range(len(gram), len(v)):
-        gram.append(np.full(i, np.nan))
     c = tt_inners(v, w)
     kept = []
     w_sq = tt_norm(w) ** 2
@@ -461,13 +404,15 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
     assembled on exit if that iteration was not, and stop is None
     (restart), "converged", "plateaued" or "stagnated".
 
-    A breakdown (h_{k+1,k} below BREAKDOWN_TOL * r_norm) is lucky when the
-    rotated diagonal r_kk stays above BREAKDOWN_TOL times the norm of
-    column k: the least-squares problem is then solved exactly.  Otherwise
-    it is hard: A is singular on the Krylov space and the system is
-    inconsistent there (Brown & Walker, SIMAX 1997), so column k is dropped,
-    the update is the least-squares solution over the leading k - 1
-    columns, and the cycle stops "stagnated".
+    After step k, one QR of the leading k columns of the kept Hessenberg
+    matrix (hessenberg_lsq) gives y, the residual and R's last diagonal
+    r_kk.  A breakdown (h_{k+1,k} below BREAKDOWN_TOL * r_norm) is lucky
+    when r_kk stays above BREAKDOWN_TOL times the norm of column k: the
+    least-squares problem is then solved exactly.  Otherwise it is hard: A
+    is singular on the Krylov space and the system is inconsistent there
+    (Brown & Walker, SIMAX 1997), so column k is dropped, the update is the
+    least-squares solution over the leading k - 1 columns, and the cycle
+    stops "stagnated".
     """
     cycle_len = min(cfg.m, cfg.maxit - out.iterations)
     dense_entries = storage_stats(r).dense_entries
@@ -475,8 +420,11 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
     relaxed = cfg.rounding_policy == "relaxed"
     tau = judge_accuracy(cfg.epsilon)
     v = [tt_scale(r, 1.0 / r_norm)]
-    gram = []
-    lsq = GivensLsq(r_norm)
+    v_stats = storage_stats(v[0])
+    basis_entries = v_stats.tt_entries
+    gram = np.full((cycle_len + 1, cycle_len + 1), np.nan)
+    hbar = np.zeros((cycle_len + 1, cycle_len))
+    lsq_residual = r_norm
     eta_hist = []
     stop = None
 
@@ -485,7 +433,7 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
         # delta_k, scaled by the inverse least-squares residual norm of the
         # previous iteration, so the perturbation grows as it shrinks.
         if relaxed:
-            delta_k = min(1.0, cfg.delta / max(lsq.residual, 1e-300))
+            delta_k = min(1.0, cfg.delta / max(lsq_residual, 1e-300))
         else:
             delta_k = cfg.delta
         # Each of the k MGS terms left out of the sum moves it by at most
@@ -495,16 +443,19 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
         w = tt_round(chain.apply(v[-1], delta_k), delta_k)
         w, coeffs, _ = _orthogonalize(w, v, gram, stab, delta_k)
         h_last = tt_norm(w)
-        col = np.append(coeffs, h_last)
+        hbar[:k, k - 1] = coeffs
+        hbar[k, k - 1] = h_last
         breakdown = h_last < BREAKDOWN_TOL * r_norm
         if not breakdown:
             v.append(tt_scale(w, 1.0 / h_last))
-        lsq.append_column(col)
-        hard = breakdown and abs(lsq.r_cols[-1][-1]) <= \
-            BREAKDOWN_TOL * np.linalg.norm(col)
+            v_stats = storage_stats(v[-1])
+            basis_entries += v_stats.tt_entries
+        y, lsq_residual, r_kk = hessenberg_lsq(hbar[:k + 1, :k], r_norm)
+        hard = breakdown and r_kk <= \
+            BREAKDOWN_TOL * np.linalg.norm(hbar[:k + 1, k - 1])
         if hard:
-            lsq.pop_column()
-        eta_tilde = lsq.residual / beta
+            y, lsq_residual, _ = hessenberg_lsq(hbar[:k, :k - 1], r_norm)
+        eta_tilde = lsq_residual / beta
         out.iterations += 1
 
         assemble = breakdown or k == cycle_len \
@@ -513,7 +464,7 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
         t = None
         eta = BackwardErrors(*[math.nan] * 8)
         if assemble:
-            t = _combine(v, lsq.solve(), delta_k)
+            t = _combine(v, y, delta_k)
             x = t if u is None else tt_round_sum([u, t], [1.0, 1.0], tau)
             eta = backward_errors(chain, x, b, out.estimated_opnorm, beta,
                                   tau)
@@ -521,19 +472,17 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
             if cfg.keep_iterates:
                 out.iterates.append(x)
 
-        last_v = v[-1]
-        basis_entries = sum(storage_stats(vi).tt_entries for vi in v)
         out.trace.append(IterationRecord(
             k=out.iterations,
             eta_b=eta.eta_b,
             eta_Ab=math.nan if preconditioned else eta.eta_Ab,
             eta_AMb=eta.eta_Ab if preconditioned else math.nan,
             eta_tilde_b=eta_tilde,
-            lsq_residual=lsq.residual,
+            lsq_residual=lsq_residual,
             true_residual=eta.residual_norm,
-            max_rank_v=last_v.max_rank,
+            max_rank_v=v_stats.max_rank,
             max_rank_x=math.nan if t is None else t.max_rank,
-            cr_last_vec=storage_stats(last_v).compression_ratio,
+            cr_last_vec=v_stats.compression_ratio,
             cr_basis=basis_entries / (len(v) * dense_entries),
             delta_used=delta_k,
         ))
@@ -559,7 +508,7 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
                 break
 
     if t is None:
-        t = _combine(v, lsq.solve(), delta_k)
+        t = _combine(v, y, delta_k)
     if cfg.keep_basis:
         out.meta["bases"].append(v)
     return t, stop

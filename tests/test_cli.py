@@ -347,3 +347,45 @@ def test_bounds_run_keeps_no_iterate(tmp_path, monkeypatch):
     assert len(outcome.judgements) == outcome.iterations
     rows = (tmp_path / "param_convdiff_n15_p5_bounds.csv").read_text()
     assert len(rows.splitlines()) == 1 + 5 * outcome.iterations
+    manifest = json.loads(
+        (tmp_path / "param_convdiff_n15_p5_manifest.json").read_text())
+    assert manifest["bound_violations"] == {"": 0}
+
+
+@pytest.mark.parametrize("jobs, started", [("500", [2]), ("1", [])])
+def test_jobs_start_at_most_one_worker_per_config(jobs, started, tmp_path,
+                                                  monkeypatch):
+    # The pool runs its jobs in this process and records the worker count
+    # it was asked for, so no process is started.
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
+    main(["run", "poisson_n63", "convdiff_n63", *SMALL, "--jobs", jobs,
+          "--output", str(tmp_path)])
+    assert workers == started
+    assert (tmp_path / "poisson_n63_manifest.json").is_file()
+    assert (tmp_path / "convdiff_n63_manifest.json").is_file()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_2(jobs, tmp_path, capsys):
+    code = main(["run", "poisson_n63", *SMALL, "--jobs", jobs,
+                 "--output", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: --jobs must be >= 1"]
+    assert not any(tmp_path.iterdir())

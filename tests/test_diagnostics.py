@@ -92,6 +92,13 @@ def test_backward_errors_take_a_given_rhs_norm(solved):
             backward_errors(chain, x, b, opnorm)
 
 
+@pytest.mark.parametrize("opnorm", [-1.0, np.nan])
+def test_backward_errors_reject_a_bad_opnorm(solved, opnorm):
+    chain, b, iterates, a = solved
+    with pytest.raises(ValueError, match="^opnorm must be >= 0$"):
+        backward_errors(chain, iterates[-1], b, opnorm)
+
+
 def test_verify_bounds_norms_the_rhs_once(solved, monkeypatch):
     # The solve norms b once, and its judgements carry |b| into the report.
     chain, b, iterates, a = solved

@@ -34,7 +34,6 @@ from ttkrylov.solver import (
     NORM_SAMPLES,
     WORKING_PRECISION,
     GmresConfig,
-    GivensLsq,
     OperatorChain,
     _orthogonalize,
     backward_errors,
@@ -83,52 +82,57 @@ def test_small_spd_op_is_spd(seed):
 
 class TestHessenbergLsq:
     def test_exact_square(self):
-        y, res = hessenberg_lsq(np.array([[2.0], [0.0]]), 4.0)
+        y, res, r_kk = hessenberg_lsq(np.array([[2.0], [0.0]]), 4.0)
         np.testing.assert_allclose(y, [2.0])
         assert res < 1e-14
+        assert r_kk == 2.0
+
+    def test_exactly_singular_last_column_does_not_raise(self):
+        # A zero last column (A v_k = 0): r_kk = 0, and y_k = 0 leaves the
+        # solution and residual of the leading columns.
+        y, res, r_kk = hessenberg_lsq(np.array([[1.0, 0.0], [1.0, 0.0],
+                                                [0.0, 0.0]]), np.sqrt(2.0))
+        assert r_kk == 0.0
+        np.testing.assert_allclose(y, [1.0 / np.sqrt(2.0), 0.0])
+        np.testing.assert_allclose(res, 1.0)
 
     def test_residual_one(self):
         # min_y |sqrt(2) e_1 - [1, 1]^T y| is at y = 1/sqrt(2), residual 1
-        y, res = hessenberg_lsq(np.array([[1.0], [1.0]]), np.sqrt(2.0))
+        y, res, _ = hessenberg_lsq(np.array([[1.0], [1.0]]), np.sqrt(2.0))
         np.testing.assert_allclose(y, [1.0 / np.sqrt(2.0)])
         np.testing.assert_allclose(res, 1.0)
 
     def test_random_matches_lstsq(self):
+        # Every leading (j+1) x j block of one Hessenberg matrix, as the
+        # cycle solves them, from j = 0 (y empty, residual beta); the
+        # residual never grows with j.
         for seed in range(5):
             r = np.random.default_rng(seed)
             h = np.triu(r.standard_normal((6, 5)), -1)
             beta = 2.0 + r.random()
-            y, res = hessenberg_lsq(h, beta)
-            e1 = np.zeros(6)
-            e1[0] = beta
-            y_ref, *_ = np.linalg.lstsq(h, e1, rcond=None)
-            np.testing.assert_allclose(y, y_ref, atol=1e-11)
-            np.testing.assert_allclose(res, np.linalg.norm(e1 - h @ y_ref),
-                                       atol=1e-11)
+            prev = beta
+            for j in range(6):
+                y, res, r_kk = hessenberg_lsq(h[:j + 1, :j], beta)
+                e1 = np.zeros(j + 1)
+                e1[0] = beta
+                y_ref, *_ = np.linalg.lstsq(h[:j + 1, :j], e1, rcond=None)
+                np.testing.assert_allclose(y, y_ref, atol=1e-11)
+                np.testing.assert_allclose(
+                    res, np.linalg.norm(e1 - h[:j + 1, :j] @ y_ref),
+                    atol=1e-11)
+                if j:
+                    np.testing.assert_allclose(
+                        r_kk, abs(np.linalg.qr(h[:j + 1, :j])[1][-1, -1]),
+                        rtol=1e-12)
+                if not j:
+                    assert y.shape == (0,) and res == beta
+                assert res <= prev + 1e-12
+                prev = res
 
     def test_rejects_non_hessenberg(self):
         with pytest.raises(ValueError):
             hessenberg_lsq(np.ones((4, 3)), 1.0)
 
-    def test_incremental_residual_monotone(self):
-        r = np.random.default_rng(3)
-        lsq = GivensLsq(5.0)
-        prev = lsq.residual
-        for k in range(6):
-            col = r.standard_normal(k + 2)
-            res = lsq.append_column(col)
-            assert res <= prev + 1e-12
-            prev = res
-
-    def test_pop_column_restores_state(self):
-        r = np.random.default_rng(4)
-        lsq = GivensLsq(3.0)
-        for k in range(3):
-            lsq.append_column(r.standard_normal(k + 2))
-        y_before, res_before = lsq.solve(), lsq.residual
-        lsq.append_column(r.standard_normal(5))
-        np.testing.assert_allclose(lsq.pop_column(), res_before, rtol=1e-14)
-        np.testing.assert_allclose(lsq.solve(), y_before, rtol=1e-14)
 
 
 class TestTtGmres:
@@ -502,15 +506,16 @@ class TestMgsSkip:
         targets = [3.0, ratio * stab, 0.3, ratio * stab]
         w = tt_add(p, *[tt_scale(u, t) for u, t in zip(v, targets)])
 
-        gram = []
+        gram = np.full((4, 4), np.nan)
         w_new, c, kept = _orthogonalize(w, v, gram, stab, delta)
 
         # <v_j, v_i> is taken only for kept j < i
-        assert [row.shape for row in gram] == [(i,) for i in range(4)]
+        assert np.isnan(gram[np.triu_indices(4)]).all()
         for i in range(4):
-            taken = np.isfinite(gram[i])
+            taken = np.isfinite(gram[i, :i])
             assert list(np.flatnonzero(taken)) == [j for j in kept if j < i]
-            np.testing.assert_allclose(gram[i][taken], dv[:i][taken] @ dv[i],
+            np.testing.assert_allclose(gram[i, :i][taken],
+                                       dv[:i][taken] @ dv[i],
                                        rtol=0, atol=1e-15)
         # sequential dense MGS, subtracting the same kept terms
         dw = tt_to_dense(w).ravel()
