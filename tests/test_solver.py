@@ -129,6 +129,19 @@ class TestHessenbergLsq:
                 assert res <= prev + 1e-12
                 prev = res
 
+    def test_incremental_residual_monotone(self):
+        # Append one random Hessenberg column at a time, as the cycle does,
+        # and re-solve the grown block: the residual never grows.
+        r = np.random.default_rng(3)
+        beta = 5.0
+        h = np.zeros((7, 6))
+        prev = beta
+        for k in range(6):
+            h[:k + 2, k] = r.standard_normal(k + 2)
+            _, res, _ = hessenberg_lsq(h[:k + 2, :k + 1], beta)
+            assert res <= prev + 1e-12
+            prev = res
+
     def test_rejects_non_hessenberg(self):
         with pytest.raises(ValueError):
             hessenberg_lsq(np.ones((4, 3)), 1.0)
