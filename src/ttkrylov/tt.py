@@ -11,6 +11,18 @@ one-term case, and rounds an operator as the vector of its fused-mode
 cores.  tt_norm and tt_first_mode_norms take the right-to-left R sweep of
 the same routine.
 
+That sweep keeps one factor F per core, F^T F = C C^T for the core's
+unfolding C (r x m).  A rounding at delta >= GRAM_MIN_DELTA (1e-7) takes
+F = Lambda^(1/2) V^T from the eigh of the Gram matrix C C^T when C is tall,
+m >= max(GRAM_MIN_ROWS, GRAM_MIN_ASPECT * r) (Al Daas, Ballard & Manning,
+IPDPS 2022): its syrk runs at level-3 speed, where geqrf's panels do not.
+Every other core, and every core of a norm sweep, takes the R factor of
+C^T (geqrf).  In the worst case a Gram factor resolves the unfolding's
+singular values only down to sqrt(eps) times the largest, and a sum's
+cancelling parts to sqrt(eps) times their size.  A cutoff of delta >= 1e-7
+does not see that; a norm does.  So the residual norms of tt_norm and
+tt_first_mode_norms, and roundings at working precision, keep geqrf's eps.
+
 All objects are immutable after construction (core arrays are marked
 read-only) and every function here is pure, so values can be shared freely
 between threads.  Indices exposed to callers (slicing) are 1-based to match
@@ -61,6 +73,31 @@ __all__ = [
 
 #: entries of one stacked product in tt_inners
 INNERS_STACK_ENTRIES = 1 << 16
+
+# When a rounding's R sweep takes the Gram factor of a core's unfolding
+# C (r x m): m >= max(GRAM_MIN_ROWS, GRAM_MIN_ASPECT * r) and delta >=
+# GRAM_MIN_DELTA (see the module docstring).  geqrf time over syrk + eigh
+# time, numpy, one OpenBLAS thread (Haswell kernels, 2 vCPUs), by rows m
+# of C^T:
+#
+#     r \ m   256   512   768  1024  1536  2048  4096  8192
+#       8    0.90  1.00  1.11  1.24  1.38  1.46  6.37  5.89
+#      16    0.65  0.81  1.11  1.13  1.43  1.62  4.84  6.51
+#      31    0.45  0.67  0.83  1.02  1.29  1.59  2.27  5.56
+#      62    0.50  0.90  1.11  1.45  1.91  1.70  4.95  8.04
+#     127     -   1.05  1.04  1.42  2.11  2.63  5.66  9.05
+#     162     -     -   0.90  1.17  1.59  1.93  3.36  5.63
+#
+# and at m = 8r, 1.46-2.02 for r = 127 ... 400 (0.74-1.04 at m = 4r).  The
+# Gram sweep wins by at least 1.29 from m = 1536 and m = 8r on, and loses
+# below about 768 rows, where the eigh of the r x r Gram matrix costs as
+# much as the panel QR it replaces.  Its factor is only as accurate as
+# C C^T: singular values below sqrt(eps) sigma_max (about 1.5e-8 of it)
+# are lost, so a cutoff of 1e-7 (about 10 sqrt(eps)) relative is the
+# least it serves.
+GRAM_MIN_ROWS = 1536
+GRAM_MIN_ASPECT = 8
+GRAM_MIN_DELTA = 1e-7
 
 DENSE_BUDGET_ENV = "TTKRYLOV_DENSE_BUDGET"
 _DEFAULT_DENSE_BUDGET = 10**6
@@ -468,8 +505,23 @@ def _sum_times_rt(carry: np.ndarray, blocks, rt) -> np.ndarray:
     return total
 
 
-def _right_r_sweep(lead, blocks, at=0):
-    """Right-to-left QR sweep of a sum that keeps only the triangular factors.
+def _factor(c: np.ndarray, gram: bool) -> np.ndarray:
+    """A factor F of the unfolding c (r, m) with F^T F = c c^T.
+
+    With gram and c tall (see GRAM_MIN_ROWS), F = Lambda^(1/2) V^T (r, r)
+    from eigh(c c^T), eigenvalues below 0 taken as 0; otherwise the R
+    factor of c^T (min(r, m), r), by geqrf alone (``mode="r"``: no Q is
+    formed).
+    """
+    r, m = c.shape
+    if gram and m >= max(GRAM_MIN_ROWS, GRAM_MIN_ASPECT * r):
+        lam, v = np.linalg.eigh(c @ c.T)
+        return np.sqrt(np.maximum(lam, 0.0))[:, None] * v.T
+    return np.linalg.qr(c.T, mode="r")
+
+
+def _right_r_sweep(lead, blocks, at=0, gram=False):
+    """Right-to-left sweep of a sum that keeps only a small factor per core.
 
     The sum is the chain ``B_0 ... B_{at-1} lead blockdiag(B_at) ...
     blockdiag(B_{d-1})`` closed by a column of ones, where blocks[k] lists
@@ -479,11 +531,14 @@ def _right_r_sweep(lead, blocks, at=0):
     term at a time.  lead None stands for the J x J identity, which sweeps
     the J terms together without summing them.
 
-    Returns (first, rs).  For k >= 1, rs[k] is the R factor of core k of
-    the sum with rs[k+1]^T absorbed (geqrf alone, ``mode="r"``: no Q is
-    formed), so cores k, ..., d-1 contract to rs[k]^T times a
-    row-orthonormal matrix; first is core 0 with rs[1]^T absorbed (no lead:
-    every term's, stacked).  The input cores are only read.
+    Returns (first, rs).  For k >= 1, rs[k] is a factor F of the unfolding
+    C (r_{k-1}, n_k r_k) of core k of the sum with rs[k+1]^T absorbed,
+    F^T F = C C^T (_factor), so cores k, ..., d-1 contract to rs[k]^T
+    times a row-orthonormal matrix; first is core 0 with rs[1]^T absorbed
+    (no lead: every term's, stacked).  F is the R factor of C^T (geqrf)
+    unless gram is set and C is tall, when it comes from the eigh of the
+    Gram matrix C C^T; only tt_round_sum at delta >= GRAM_MIN_DELTA sets
+    gram.  The input cores are only read.
     """
     rs = [None] * len(blocks)
     rt = None
@@ -497,8 +552,7 @@ def _right_r_sweep(lead, blocks, at=0):
             # over the swept core
             core = parts[0] if len(parts) == 1 else np.concatenate(parts)
         if k:
-            rt = rs[k] = np.linalg.qr(core.reshape(core.shape[0], -1).T,
-                                      mode="r")
+            rt = rs[k] = _factor(core.reshape(core.shape[0], -1), gram)
     return core, rs
 
 
@@ -510,7 +564,7 @@ def tt_norm(x: TTVector) -> float:
     formed), rather than by the Gram recursion: on cancellation-heavy
     inputs (residuals of nearly-consistent systems) this keeps the
     absolute error at eps * |cores| instead of eps * |cores|^2, and it
-    cannot go negative.
+    cannot go negative.  So the sweep never takes a Gram factor here.
     """
     first, _ = _right_r_sweep(None, [[c] for c in x.cores])
     return float(np.linalg.norm(first))
@@ -630,11 +684,16 @@ def tt_round_sum(terms, coeffs, delta: float) -> TTVector:
 
     * Leading bonds above their natural cap r_{k-1} n_k are first cut by
       an exact left QR sweep (_cap_sum_bonds).
-    * A right-to-left sweep keeps only the R factor R_k of each core's QR
-      (core k with R_{k+1}^T absorbed); for a sum it absorbs R_{k+1}^T
-      into each block, ``B_k^j R_j^T`` (R_j the columns of R_{k+1} on term
-      j's bond), and stacks the results, which is the swept core of the
-      sum (_right_r_sweep).
+    * A right-to-left sweep keeps only a factor R_k of each core, with
+      R_k^T R_k = C_k C_k^T for the unfolding C_k of core k with R_{k+1}^T
+      absorbed; for a sum it absorbs R_{k+1}^T into each block,
+      ``B_k^j R_j^T`` (R_j the columns of R_{k+1} on term j's bond), and
+      stacks the results, which is the swept core of the sum
+      (_right_r_sweep).  R_k is the R of C_k^T's QR (geqrf, no Q), or, at
+      delta >= GRAM_MIN_DELTA and C_k tall (m >= max(GRAM_MIN_ROWS,
+      GRAM_MIN_ASPECT * r)), Lambda^(1/2) V^T from eigh(C_k C_k^T), which
+      costs a syrk instead of geqrf's level-2 panels.  The SVD sweep needs
+      only R_k^T R_k, so it is the same for both.
     * The left-to-right sweep forms ``W_k = sum_j (carry_j B_k^j) R_j^T``,
       which has the singular values of the sum's unfolding at bond k, as
       the cores right of it contract to R_{k+1}^T times a row-orthonormal
@@ -647,7 +706,9 @@ def tt_round_sum(terms, coeffs, delta: float) -> TTVector:
     Work and memory grow linearly with the number of terms, where rounding
     the formed sum also spends both on its zero blocks.  Ranks never
     exceed the sum's; ``|x - round(x)| <= delta * |x|`` for x the exact
-    sum.
+    sum, up to the round-off of summing the terms, eps sum_j |c_j t_j|.
+    The Gram factor resolves singular values down to sqrt(eps) sigma_max
+    only, so it is not taken below delta = GRAM_MIN_DELTA (1e-7).
     """
     if not delta >= 0:
         raise TTError("delta must be >= 0")
@@ -658,7 +719,7 @@ def tt_round_sum(terms, coeffs, delta: float) -> TTVector:
     if d == 1:
         return make_tt_vector([_sum_times_rt(lead, blocks[0], None)])
     lead, blocks, at = _cap_sum_bonds(lead, blocks)
-    first, rs = _right_r_sweep(lead, blocks, at)
+    first, rs = _right_r_sweep(lead, blocks, at, gram=delta >= GRAM_MIN_DELTA)
     nrm = np.linalg.norm(first)
     if nrm == 0.0:
         return tt_zero([block[0].shape[1] for block in blocks])

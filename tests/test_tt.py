@@ -37,6 +37,7 @@ from ttkrylov import (
     tt_zero,
 )
 from ttkrylov import tt as tt_module
+from ttkrylov.operators import Grid1D, tt_laplacian
 from ttkrylov.tt import _min_rank_for_tail, dense_budget
 
 from oracles import (
@@ -583,6 +584,122 @@ class TestRoundSum:
     def test_rejects_bad_input(self, terms, coeffs, delta, error):
         with pytest.raises(error):
             tt_round_sum(terms, coeffs, delta)
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Every factorization the tt module asks numpy for, in order:
+    ("qr", mode, shape) or ("eigh", shape)."""
+    calls = []
+    qr, eigh = tt_module.np.linalg.qr, tt_module.np.linalg.eigh
+
+    def spy_qr(a, mode="reduced"):
+        calls.append(("qr", mode, a.shape))
+        return qr(a, mode=mode)
+
+    def spy_eigh(a, *args, **kwargs):
+        calls.append(("eigh", a.shape))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(tt_module.np.linalg, "qr", spy_qr)
+    monkeypatch.setattr(tt_module.np.linalg, "eigh", spy_eigh)
+    return calls
+
+
+def _unit(x):
+    return tt_scale(x, 1.0 / tt_norm(x))
+
+
+def _smooth_field(n):
+    """A smooth function on the n^3 interior grid of the unit cube."""
+    s = Grid1D(n).nodes
+    return (np.exp(-(s[:, None, None] + 2.0 * s[None, :, None]
+                     * s[None, None, :]))
+            + np.sin(3.0 * s)[:, None, None]
+            * np.cos(s[None, :, None] - s[None, None, :]))
+
+
+GRAM_DELTAS = [1e-7, 1e-5, 1e-3]
+EPS = np.finfo(float).eps
+
+
+class TestGramSweep:
+    """Roundings at delta >= 1e-7 factor tall cores by their Gram matrix."""
+
+    @pytest.mark.parametrize("form", ["formed", "sum"])
+    @pytest.mark.parametrize("delta", GRAM_DELTAS)
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    def test_cancellation_against_dense(self, eps, delta, form,
+                                        factor_calls):
+        # y + eps z - y at modes (8, 512, 8): the swept middle core's
+        # unfolding is 8 x 4096, which takes the Gram factor.
+        for seed in range(3):
+            y = _unit(rand_vec((8, 512, 8), (1, 6, 6, 1), seed=seed))
+            z = _unit(rand_vec((8, 512, 8), (1, 3, 3, 1), seed=50 + seed))
+            x = tt_add(y, tt_scale(z, eps), tt_scale(y, -1.0))
+            factor_calls.clear()
+            if form == "formed":
+                out = tt_round(x, delta)
+            else:
+                out = tt_round_sum([y, z, y], [1.0, eps, -1.0], delta)
+            assert ("eigh", (8, 8)) in factor_calls
+            exact = eps * tt_to_dense(z)
+            err = np.linalg.norm(tt_to_dense(out) - exact)
+            # Summing the terms costs about eps (|y| + eps |z| + |y|) on
+            # any path; at eps * delta = 1e-16 that is the larger term (QR
+            # alone measured up to 4.9 delta |x| there).
+            assert err <= delta * np.linalg.norm(exact) + 4 * EPS * (2 + eps)
+            assert all(r <= s for r, s in zip(out.ranks, x.ranks))
+
+    @pytest.mark.parametrize("delta", GRAM_DELTAS)
+    def test_negative_laplacian_of_smooth_field(self, delta, factor_calls):
+        g = Grid1D(127)
+        x = tt_from_dense(_smooth_field(g.n), 1e-13)
+        ax = tt_apply(tt_laplacian(3, g, negate=True), x)
+        factor_calls.clear()
+        out = tt_round(ax, delta)
+        assert any(call[0] == "eigh" for call in factor_calls)
+        exact = tt_to_dense(ax, budget=g.n**3)
+        err = np.linalg.norm(tt_to_dense(out, budget=g.n**3) - exact)
+        assert err <= delta * np.linalg.norm(exact)
+        assert all(r <= s for r, s in zip(out.ranks, ax.ranks))
+
+    # Each case's middle core, swept, has an r x m unfolding: (4, 1536)
+    # and (192, 1536) sit on the GRAM_MIN_ROWS and GRAM_MIN_ASPECT edges,
+    # (4, 1532) and (193, 1536) just off them.
+    TALL = rand_vec((4, 384, 4), (1, 4, 4, 1), seed=21)
+    TALL_TOO = rand_vec((4, 384, 4), (1, 3, 2, 1), seed=22)
+    FEW_ROWS = rand_vec((4, 383, 4), (1, 4, 4, 1), seed=23)
+    SQUAT = rand_vec((256, 24, 64), (1, 193, 64, 1), seed=24)
+    ASPECT = rand_vec((256, 24, 64), (1, 192, 64, 1), seed=25)
+
+    @pytest.mark.parametrize("run, eigh_shape", [
+        (lambda: tt_round(TestGramSweep.TALL, 1e-5), (4, 4)),
+        (lambda: tt_round(TestGramSweep.TALL, tt_module.GRAM_MIN_DELTA),
+         (4, 4)),
+        (lambda: tt_round_sum([TestGramSweep.TALL, TestGramSweep.TALL_TOO],
+                              [1.0, -0.5], 1e-3), (4, 4)),
+        (lambda: tt_round(TestGramSweep.ASPECT, 1e-3), (192, 192)),
+        (lambda: tt_round(TestGramSweep.TALL, 1e-8), None),
+        (lambda: tt_norm(TestGramSweep.TALL), None),
+        (lambda: tt_first_mode_norms(TestGramSweep.TALL), None),
+        (lambda: tt_first_mode_norms(TestGramSweep.TALL,
+                                     TestGramSweep.TALL_TOO,
+                                     coeffs=[1.0, -1.0]), None),
+        (lambda: tt_round(TestGramSweep.FEW_ROWS, 1e-3), None),
+        (lambda: tt_round(TestGramSweep.SQUAT, 1e-3), None),
+    ], ids=["tall", "tall-at-min-delta", "tall-sum", "at-min-aspect",
+            "below-min-delta", "norm", "first-mode-norms",
+            "first-mode-norms-of-sum", "few-rows", "squat"])
+    def test_factor_each_entry_point_takes(self, run, eigh_shape,
+                                           factor_calls):
+        run()
+        eighs = [call for call in factor_calls if call[0] == "eigh"]
+        if eigh_shape is None:
+            assert not eighs
+            assert {call[1] for call in factor_calls} == {"r"}
+        else:
+            assert eighs == [("eigh", eigh_shape)]
 
 
 class TestInners:
