@@ -12,16 +12,24 @@ cores.  tt_norm and tt_first_mode_norms take the right-to-left R sweep of
 the same routine.
 
 That sweep keeps one factor F per core, F^T F = C C^T for the core's
-unfolding C (r x m).  A rounding at delta >= GRAM_MIN_DELTA (1e-7) takes
-F = Lambda^(1/2) V^T from the eigh of the Gram matrix C C^T when C is tall,
-m >= max(GRAM_MIN_ROWS, GRAM_MIN_ASPECT * r) (Al Daas, Ballard & Manning,
-IPDPS 2022): its syrk runs at level-3 speed, where geqrf's panels do not.
-Every other core, and every core of a norm sweep, takes the R factor of
-C^T (geqrf).  In the worst case a Gram factor resolves the unfolding's
-singular values only down to sqrt(eps) times the largest, and a sum's
-cancelling parts to sqrt(eps) times their size.  A cutoff of delta >= 1e-7
-does not see that; a norm does.  So the residual norms of tt_norm and
-tt_first_mode_norms, and roundings at working precision, keep geqrf's eps.
+unfolding C (r x m).  When tt_round_sum rounds a single term and C is tall
+(m >= GRAM_MIN_ROWS), F may be Lambda^(1/2) V^T from the eigh of the Gram
+matrix C C^T (Al Daas, Ballard & Manning, IPDPS 2022): its syrk runs at
+level-3 speed, where geqrf's panels do not.  Every other core, every core
+of a sum and of a norm sweep, takes the R factor of C^T (geqrf).  A Gram
+factor is exact only to |F^T F - C C^T| <= sqrt(m) eps |C|_F^2, so the
+singular values it gives at the bond left of the core are off by up to
+sqrt(sqrt(m) eps) |L| |C|, L the cores left of the bond.  That is
+sqrt(eps) times the size of the parts of x, not of x, and it is larger
+than x's own small singular values wherever those parts cancel.  So
+tt_round_sum bounds it at every bond from the norms of L, spends it out of
+the bond's cutoff, and redoes the rounding on geqrf when it is above half
+the cutoff.  Below delta = 2 sqrt((d - 1) sqrt(m) eps) (at d = 3, 2.6e-7
+for m = 1536 and 5e-7 for m = 20000) no rounding could pass, and the Gram
+factor is not tried: so never at the judge's 1e-8.  A sum's terms are apt
+to cancel (a residual, an MGS step), where the Gram sweep would be wasted,
+and the norms of tt_norm and tt_first_mode_norms need eps, not sqrt(eps):
+those stay on geqrf.
 
 All objects are immutable after construction (core arrays are marked
 read-only) and every function here is pure, so values can be shared freely
@@ -31,6 +39,7 @@ the usual mathematical convention; storage is 0-based.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -74,11 +83,9 @@ __all__ = [
 #: entries of one stacked product in tt_inners
 INNERS_STACK_ENTRIES = 1 << 16
 
-# When a rounding's R sweep takes the Gram factor of a core's unfolding
-# C (r x m): m >= max(GRAM_MIN_ROWS, GRAM_MIN_ASPECT * r) and delta >=
-# GRAM_MIN_DELTA (see the module docstring).  geqrf time over syrk + eigh
-# time, numpy, one OpenBLAS thread (Haswell kernels, 2 vCPUs), by rows m
-# of C^T:
+# Least rows m of a core's unfolding C (r x m) that may take the Gram
+# factor (see the module docstring).  geqrf time over syrk + eigh time,
+# numpy, one OpenBLAS thread (Haswell kernels, 2 vCPUs), by rows m of C^T:
 #
 #     r \ m   256   512   768  1024  1536  2048  4096  8192
 #       8    0.90  1.00  1.11  1.24  1.38  1.46  6.37  5.89
@@ -88,16 +95,14 @@ INNERS_STACK_ENTRIES = 1 << 16
 #     127     -   1.05  1.04  1.42  2.11  2.63  5.66  9.05
 #     162     -     -   0.90  1.17  1.59  1.93  3.36  5.63
 #
-# and at m = 8r, 1.46-2.02 for r = 127 ... 400 (0.74-1.04 at m = 4r).  The
-# Gram sweep wins by at least 1.29 from m = 1536 and m = 8r on, and loses
-# below about 768 rows, where the eigh of the r x r Gram matrix costs as
-# much as the panel QR it replaces.  Its factor is only as accurate as
-# C C^T: singular values below sqrt(eps) sigma_max (about 1.5e-8 of it)
-# are lost, so a cutoff of 1e-7 (about 10 sqrt(eps)) relative is the
-# least it serves.
+# The Gram sweep wins by at least 1.29 from m = 1536 on, and loses below
+# about 768 rows, where the eigh of the r x r Gram matrix costs as much as
+# the panel QR it replaces.  It also loses on squat cores: 0.74-1.04 at
+# m = 4r for r = 127 ... 400 (1.46-2.02 at m = 8r); the cores of the
+# bench workloads that take the Gram factor have m >= 50r.
 GRAM_MIN_ROWS = 1536
-GRAM_MIN_ASPECT = 8
-GRAM_MIN_DELTA = 1e-7
+
+_EPS = float(np.finfo(np.float64).eps)
 
 DENSE_BUDGET_ENV = "TTKRYLOV_DENSE_BUDGET"
 _DEFAULT_DENSE_BUDGET = 10**6
@@ -505,22 +510,32 @@ def _sum_times_rt(carry: np.ndarray, blocks, rt) -> np.ndarray:
     return total
 
 
-def _factor(c: np.ndarray, gram: bool) -> np.ndarray:
-    """A factor F of the unfolding c (r, m) with F^T F = c c^T.
+def _factor(c: np.ndarray, room) -> tuple[np.ndarray, float]:
+    """A factor F of the unfolding c (r, m) with F^T F = c c^T, and a bound
+    on |F^T F - c c^T|_2.
 
-    With gram and c tall (see GRAM_MIN_ROWS), F = Lambda^(1/2) V^T (r, r)
-    from eigh(c c^T), eigenvalues below 0 taken as 0; otherwise the R
-    factor of c^T (min(r, m), r), by geqrf alone (``mode="r"``: no Q is
-    formed).
+    With room set and m >= GRAM_MIN_ROWS, sqrt(m) eps <= room, F =
+    Lambda^(1/2) V^T (r, r) from eigh(c c^T), eigenvalues below 0 taken
+    as 0, and the bound is sqrt(m) eps |c|_F^2: the probabilistic bound
+    of the syrk's round-off (Higham & Mary, SISC 2019), which also covers
+    eigh's backward error, eps |c c^T|_2 times a small multiple.  On the
+    7 cores of a convdiff-prec-n127 solve that take it (m = 3048 to
+    14478), the error against a Gram matrix in extended precision was
+    0.013 to 0.086 of the bound.
+    Otherwise F is the R factor of c^T (min(r, m), r), by geqrf alone
+    (``mode="r"``: no Q is formed), exact up to eps |c| in c, and the
+    bound is 0.
     """
-    r, m = c.shape
-    if gram and m >= max(GRAM_MIN_ROWS, GRAM_MIN_ASPECT * r):
-        lam, v = np.linalg.eigh(c @ c.T)
-        return np.sqrt(np.maximum(lam, 0.0))[:, None] * v.T
-    return np.linalg.qr(c.T, mode="r")
+    m = c.shape[1]
+    if room is not None and GRAM_MIN_ROWS <= m and math.sqrt(m) * _EPS <= room:
+        g = c @ c.T
+        lam, v = np.linalg.eigh(g)
+        return (np.sqrt(np.maximum(lam, 0.0))[:, None] * v.T,
+                math.sqrt(m) * _EPS * float(np.trace(g)))
+    return np.linalg.qr(c.T, mode="r"), 0.0
 
 
-def _right_r_sweep(lead, blocks, at=0, gram=False):
+def _right_r_sweep(lead, blocks, at=0, delta=None):
     """Right-to-left sweep of a sum that keeps only a small factor per core.
 
     The sum is the chain ``B_0 ... B_{at-1} lead blockdiag(B_at) ...
@@ -531,18 +546,27 @@ def _right_r_sweep(lead, blocks, at=0, gram=False):
     term at a time.  lead None stands for the J x J identity, which sweeps
     the J terms together without summing them.
 
-    Returns (first, rs).  For k >= 1, rs[k] is a factor F of the unfolding
-    C (r_{k-1}, n_k r_k) of core k of the sum with rs[k+1]^T absorbed,
-    F^T F = C C^T (_factor), so cores k, ..., d-1 contract to rs[k]^T
-    times a row-orthonormal matrix; first is core 0 with rs[1]^T absorbed
-    (no lead: every term's, stacked).  F is the R factor of C^T (geqrf)
-    unless gram is set and C is tall, when it comes from the eigh of the
-    Gram matrix C C^T; only tt_round_sum at delta >= GRAM_MIN_DELTA sets
-    gram.  The input cores are only read.
+    Returns (first, rs, errs).  For k >= 1, rs[k] is a factor F of the
+    unfolding C (r_{k-1}, n_k r_k) of core k of the sum with rs[k+1]^T
+    absorbed, F^T F = C C^T (_factor), so cores k, ..., d-1 contract to
+    rs[k]^T times a row-orthonormal matrix; first is core 0 with rs[1]^T
+    absorbed (no lead: every term's, stacked).  F is the R factor of C^T
+    (geqrf) unless delta is given and C is tall, when it may come from
+    the eigh of C C^T; only tt_round_sum gives delta, for a single term.
+    errs[k] bounds |rs[k]^T rs[k] - G_k|_2 for G_k the exact Gram matrix
+    of cores k, ..., d-1 (0 with no Gram factor among them): core k's own
+    Gram error, plus errs[k+1] carried through core k, which scales it by
+    at most |B_k|_F^2 (a single term has no lead left after
+    _cap_sum_bonds).  A Gram factor is taken only where the check of
+    tt_round_sum can pass, |L|_F |C|_F >= |x| being its best case:
+    sqrt(m) eps <= delta^2 / (4 (d - 1)).  The input cores are only read.
     """
-    rs = [None] * len(blocks)
+    d = len(blocks)
+    room = None if delta is None else delta * delta / (4 * (d - 1))
+    rs = [None] * d
+    errs = [0.0] * (d + 1)
     rt = None
-    for k in range(len(blocks) - 1, -1, -1):
+    for k in range(d - 1, -1, -1):
         if k == at and lead is not None:
             core = _sum_times_rt(lead, blocks[k], rt)
         else:
@@ -552,8 +576,12 @@ def _right_r_sweep(lead, blocks, at=0, gram=False):
             # over the swept core
             core = parts[0] if len(parts) == 1 else np.concatenate(parts)
         if k:
-            rt = rs[k] = _factor(core.reshape(core.shape[0], -1), gram)
-    return core, rs
+            rt, err = _factor(core.reshape(core.shape[0], -1), room)
+            rs[k] = rt
+            if errs[k + 1]:
+                err += sum(np.vdot(b, b) for b in blocks[k]) * errs[k + 1]
+            errs[k] = err
+    return core, rs, errs
 
 
 def tt_norm(x: TTVector) -> float:
@@ -566,7 +594,7 @@ def tt_norm(x: TTVector) -> float:
     absolute error at eps * |cores| instead of eps * |cores|^2, and it
     cannot go negative.  So the sweep never takes a Gram factor here.
     """
-    first, _ = _right_r_sweep(None, [[c] for c in x.cores])
+    first = _right_r_sweep(None, [[c] for c in x.cores])[0]
     return float(np.linalg.norm(first))
 
 
@@ -606,7 +634,7 @@ def tt_first_mode_norms(*terms: TTVector, coeffs=None) -> np.ndarray:
     """
     lead, blocks = _sum_blocks(
         terms, np.ones(len(terms)) if coeffs is None else coeffs)
-    parts, _ = _right_r_sweep(None, blocks)
+    parts = _right_r_sweep(None, blocks)[0]
     norms = np.linalg.norm(np.tensordot(lead, parts, axes=1), axis=2)
     return norms if np.ndim(coeffs) == 2 else norms[0]
 
@@ -659,7 +687,8 @@ def tt_round(x, delta: float):
     This is tt_round_sum, the one rounding routine, of the single term x.
     An operator is rounded as the vector of its fused-mode cores
     ``(r_{k-1}, n_k m_k, r_k)``.  Ranks never increase;
-    ``|x - round(x)| <= delta * |x|``.
+    ``|x - round(x)| <= delta * |x|`` up to round-off, the Gram factors'
+    error included (see tt_round_sum).
     """
     if not _is_operator(x):
         return tt_round_sum([x], [1.0], delta)
@@ -689,40 +718,64 @@ def tt_round_sum(terms, coeffs, delta: float) -> TTVector:
       absorbed; for a sum it absorbs R_{k+1}^T into each block,
       ``B_k^j R_j^T`` (R_j the columns of R_{k+1} on term j's bond), and
       stacks the results, which is the swept core of the sum
-      (_right_r_sweep).  R_k is the R of C_k^T's QR (geqrf, no Q), or, at
-      delta >= GRAM_MIN_DELTA and C_k tall (m >= max(GRAM_MIN_ROWS,
-      GRAM_MIN_ASPECT * r)), Lambda^(1/2) V^T from eigh(C_k C_k^T), which
-      costs a syrk instead of geqrf's level-2 panels.  The SVD sweep needs
-      only R_k^T R_k, so it is the same for both.
+      (_right_r_sweep).  R_k is the R of C_k^T's QR (geqrf, no Q), or,
+      for a single term and C_k tall (m >= GRAM_MIN_ROWS), Lambda^(1/2)
+      V^T from eigh(C_k C_k^T), which costs a syrk instead of geqrf's
+      level-2 panels.  The SVD sweep needs only R_k^T R_k, so it is the
+      same for both.
     * The left-to-right sweep forms ``W_k = sum_j (carry_j B_k^j) R_j^T``,
       which has the singular values of the sum's unfolding at bond k, as
       the cores right of it contract to R_{k+1}^T times a row-orthonormal
       matrix.  It truncates the SVD of W_k with per-core cutoff
-      ``delta * |x| / sqrt(d - 1)``; the kept left singular vectors U_r
-      become core k, and ``U_r^T (carry_j B_k^j)`` is carried into core
-      k+1, one term at a time, so the carried core (r, n, sum_j r_j) never
-      exists.
+      ``tau = delta * |x| / sqrt(d - 1)``; the kept left singular vectors
+      U_r become core k, and ``U_r^T (carry_j B_k^j)`` is carried into
+      core k+1, one term at a time, so the carried core (r, n, sum_j r_j)
+      never exists.
+
+    Gram factors right of bond k leave R_{k+1}^T R_{k+1} off the exact
+    Gram matrix by at most e_{k+1} (_right_r_sweep), so the squared tail
+    that the cut leaves out of W_k is off by at most e_{k+1} |L_k|_F^2,
+    L_k = carry B_k (for a term of size beta whose parts cancel down to
+    eta beta, about sqrt(eps) beta against the cutoff's delta eta beta).
+    The bond is then cut at sqrt(tau^2 - e_{k+1} |L_k|_F^2), so that the
+    tail it leaves out is at most tau all the same; if that error is
+    above tau^2 / 4, the Gram factors are dropped and the rounding is
+    redone on geqrf, which also keeps the ranks near geqrf's.
 
     Work and memory grow linearly with the number of terms, where rounding
     the formed sum also spends both on its zero blocks.  Ranks never
     exceed the sum's; ``|x - round(x)| <= delta * |x|`` for x the exact
-    sum, up to the round-off of summing the terms, eps sum_j |c_j t_j|.
-    The Gram factor resolves singular values down to sqrt(eps) sigma_max
-    only, so it is not taken below delta = GRAM_MIN_DELTA (1e-7).
+    sum, up to the round-off of summing the terms, eps sum_j |c_j t_j|,
+    on either factor.
     """
     if not delta >= 0:
         raise TTError("delta must be >= 0")
     lead, blocks = _sum_blocks(terms, coeffs)
     if len(lead) != 1:
         raise TTError("a rounded sum takes one row of coefficients")
-    d = len(blocks)
-    if d == 1:
+    if len(blocks) == 1:
         return make_tt_vector([_sum_times_rt(lead, blocks[0], None)])
     lead, blocks, at = _cap_sum_bonds(lead, blocks)
-    first, rs = _right_r_sweep(lead, blocks, at, gram=delta >= GRAM_MIN_DELTA)
+    if len(blocks[-1]) == 1:
+        rounded = _round_swept(lead, blocks, at, delta, gram=True)
+        if rounded is not None:
+            return rounded
+    return _round_swept(lead, blocks, at, delta, gram=False)
+
+
+def _round_swept(lead, blocks, at, delta: float, gram: bool):
+    """The two sweeps of tt_round_sum on its capped sum (lead, blocks, at).
+
+    With gram, tall cores of the single term may take Gram factors, and
+    the result is None where their error is above a quarter of a bond's
+    squared cutoff.
+    """
+    d = len(blocks)
+    first, rs, errs = _right_r_sweep(lead, blocks, at,
+                                     delta if gram else None)
     nrm = np.linalg.norm(first)
     if nrm == 0.0:
-        return tt_zero([block[0].shape[1] for block in blocks])
+        return None if errs[1] else tt_zero([b[0].shape[1] for b in blocks])
     tau = delta * nrm / np.sqrt(d - 1)
     out = []
     carry = np.ones((1, 1))
@@ -733,16 +786,22 @@ def tt_round_sum(terms, coeffs, delta: float) -> TTVector:
             out.append(_sum_times_rt(carry, block, None))
             break
         a, n = carry.shape[0], block[0].shape[1]
+        cut = tau
         if len(block) == 1:
             products = [_carry_right(carry, block[0])]
             w = _times_rt(products[0], rs[k + 1]) if k else first
+            if errs[k + 1]:
+                slack = errs[k + 1] * np.vdot(products[0], products[0])
+                if slack > tau * tau / 4:
+                    return None
+                cut = math.sqrt(tau * tau - slack)
         else:
             # carry_j B_k^j is formed again for the carry rather than kept
             # from W_k: held together, those products are the
             # (a, n, sum_j r_j) core.
             products = _carried(carry, block)
             w = _sum_times_rt(carry, block, rs[k + 1]) if k else first
-        u = _truncated_basis(w.reshape(a * n, -1), tau)
+        u = _truncated_basis(w.reshape(a * n, -1), cut)
         out.append(u.reshape(a, n, -1))
         carry = np.concatenate([u.T @ m.reshape(a * n, -1)
                                 for m in products], axis=1)

@@ -623,74 +623,147 @@ GRAM_DELTAS = [1e-7, 1e-5, 1e-3]
 EPS = np.finfo(float).eps
 
 
+def on_geqrf(monkeypatch, run):
+    """run() with no core tall enough for a Gram factor: the reference."""
+    with monkeypatch.context() as m:
+        m.setattr(tt_module, "GRAM_MIN_ROWS", np.iinfo(np.int64).max)
+        return run()
+
+
+def least_gram_delta(m, d):
+    """The least delta at which a core with m rows tries its Gram factor."""
+    return float(np.sqrt(4 * (d - 1) * np.sqrt(m) * tt_module._EPS))
+
+
+@pytest.fixture(scope="module")
+def nearly_solved():
+    """(b, A u) at 127^3 with |b - A u| = eta |A u|, by eta: the restart
+    residual of a nearly solved system, whose two terms cancel."""
+    g = Grid1D(127)
+    au = tt_apply(tt_laplacian(3, g, negate=True),
+                  _unit(rand_vec((127,) * 3, (1, 8, 8, 1), seed=31)))
+    z = _unit(rand_vec((127,) * 3, (1, 4, 4, 1), seed=32))
+    scale = tt_norm(au)
+    return {eta: (tt_round(tt_add(au, tt_scale(z, eta * scale)), 1e-14), au)
+            for eta in (1e-3, 1e-6)}
+
+
 class TestGramSweep:
-    """Roundings at delta >= 1e-7 factor tall cores by their Gram matrix."""
+    """Single-term roundings factor tall cores by their Gram matrix where
+    its error fits in the cutoff, and fall back on geqrf where it does
+    not."""
 
     @pytest.mark.parametrize("form", ["formed", "sum"])
     @pytest.mark.parametrize("delta", GRAM_DELTAS)
     @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
-    def test_cancellation_against_dense(self, eps, delta, form,
-                                        factor_calls):
-        # y + eps z - y at modes (8, 512, 8): the swept middle core's
-        # unfolding is 8 x 4096, which takes the Gram factor.
+    @pytest.mark.parametrize("modes", [(8, 512, 8), (64, 512, 8)],
+                             ids=["capped", "uncapped"])
+    def test_cancellation_against_dense(self, modes, eps, delta, form,
+                                        factor_calls, monkeypatch):
+        # y + eps z - y: the swept middle core's unfolding has 4096 rows.
+        # At modes (8, 512, 8) the leading bond (15) is cut to 8 first, so
+        # the cancellation is applied before the Gram bond; at (64, 512, 8)
+        # it is not, and the Gram factor of the formed sum is tried against
+        # parts eps^-1 times larger than the sum.
         for seed in range(3):
-            y = _unit(rand_vec((8, 512, 8), (1, 6, 6, 1), seed=seed))
-            z = _unit(rand_vec((8, 512, 8), (1, 3, 3, 1), seed=50 + seed))
+            y = _unit(rand_vec(modes, (1, 6, 6, 1), seed=seed))
+            z = _unit(rand_vec(modes, (1, 3, 3, 1), seed=50 + seed))
             x = tt_add(y, tt_scale(z, eps), tt_scale(y, -1.0))
-            factor_calls.clear()
             if form == "formed":
-                out = tt_round(x, delta)
+                def run():
+                    return tt_round(x, delta)
             else:
-                out = tt_round_sum([y, z, y], [1.0, eps, -1.0], delta)
-            assert ("eigh", (8, 8)) in factor_calls
+                def run():
+                    return tt_round_sum([y, z, y], [1.0, eps, -1.0], delta)
+            factor_calls.clear()
+            out = run()
+            tried = any(call[0] == "eigh" for call in factor_calls)
+            assert tried == (form == "formed"
+                             and delta >= least_gram_delta(4096, 3))
             exact = eps * tt_to_dense(z)
             err = np.linalg.norm(tt_to_dense(out) - exact)
             # Summing the terms costs about eps (|y| + eps |z| + |y|) on
-            # any path; at eps * delta = 1e-16 that is the larger term (QR
-            # alone measured up to 4.9 delta |x| there).
+            # any path; at eps * delta = 1e-16 that is the larger term.
             assert err <= delta * np.linalg.norm(exact) + 4 * EPS * (2 + eps)
-            assert all(r <= s for r, s in zip(out.ranks, x.ranks))
+            reference = on_geqrf(monkeypatch, run)
+            assert all(r <= s for r, s in zip(out.ranks, reference.ranks))
+
+    @pytest.mark.parametrize("form", ["formed", "sum"])
+    @pytest.mark.parametrize("delta", [1e-5, 1e-3])
+    @pytest.mark.parametrize("eta", [1e-3, 1e-6])
+    def test_residual_of_nearly_solved_system(self, eta, delta, form,
+                                              nearly_solved, factor_calls,
+                                              monkeypatch):
+        b, au = nearly_solved[eta]
+        if form == "formed":
+            def run():
+                return tt_round(tt_add(b, tt_scale(au, -1.0)), delta)
+        else:
+            def run():
+                return tt_round_sum([b, au], [1.0, -1.0], delta)
+        factor_calls.clear()
+        out = run()
+        assert any(call[0] == "eigh" for call in factor_calls) \
+            == (form == "formed")
+        budget = 127**3
+        exact = tt_to_dense(b, budget=budget) - tt_to_dense(au, budget=budget)
+        err = np.linalg.norm(tt_to_dense(out, budget=budget) - exact)
+        assert err <= delta * np.linalg.norm(exact) \
+            + 4 * EPS * (tt_norm(b) + tt_norm(au))
+        reference = on_geqrf(monkeypatch, run)
+        assert all(r <= s for r, s in zip(out.ranks, reference.ranks))
 
     @pytest.mark.parametrize("delta", GRAM_DELTAS)
-    def test_negative_laplacian_of_smooth_field(self, delta, factor_calls):
+    def test_negative_laplacian_of_smooth_field(self, delta, factor_calls,
+                                                monkeypatch):
         g = Grid1D(127)
         x = tt_from_dense(_smooth_field(g.n), 1e-13)
         ax = tt_apply(tt_laplacian(3, g, negate=True), x)
         factor_calls.clear()
         out = tt_round(ax, delta)
-        assert any(call[0] == "eigh" for call in factor_calls)
+        assert any(call[0] == "eigh" for call in factor_calls) \
+            == (delta >= least_gram_delta(127 * x.ranks[2], 3))
         exact = tt_to_dense(ax, budget=g.n**3)
         err = np.linalg.norm(tt_to_dense(out, budget=g.n**3) - exact)
         assert err <= delta * np.linalg.norm(exact)
-        assert all(r <= s for r, s in zip(out.ranks, ax.ranks))
+        reference = on_geqrf(monkeypatch, lambda: tt_round(ax, delta))
+        assert all(r <= s for r, s in zip(out.ranks, reference.ranks))
 
-    # Each case's middle core, swept, has an r x m unfolding: (4, 1536)
-    # and (192, 1536) sit on the GRAM_MIN_ROWS and GRAM_MIN_ASPECT edges,
-    # (4, 1532) and (193, 1536) just off them.
+    # The middle core of TALL and TALL_TOO, swept, has a 4 x 1536
+    # unfolding, on the GRAM_MIN_ROWS edge, and FEW_ROWS a 4 x 1532 one.
+    # The sum of WIDE and WIDE_TOO has a 7 x 1536 one, and its leading
+    # bond (7) needs no cap.
     TALL = rand_vec((4, 384, 4), (1, 4, 4, 1), seed=21)
     TALL_TOO = rand_vec((4, 384, 4), (1, 3, 2, 1), seed=22)
+    WIDE = rand_vec((16, 384, 4), (1, 4, 4, 1), seed=26)
+    WIDE_TOO = rand_vec((16, 384, 4), (1, 3, 2, 1), seed=27)
     FEW_ROWS = rand_vec((4, 383, 4), (1, 4, 4, 1), seed=23)
-    SQUAT = rand_vec((256, 24, 64), (1, 193, 64, 1), seed=24)
-    ASPECT = rand_vec((256, 24, 64), (1, 192, 64, 1), seed=25)
+    # y + 1e-6 z - y with no cap at the leading bond (see above)
+    CANCELLING = tt_add(rand_vec((64, 512, 8), (1, 6, 6, 1), seed=24),
+                        tt_scale(rand_vec((64, 512, 8), (1, 3, 3, 1),
+                                          seed=25), 1e-6),
+                        tt_scale(rand_vec((64, 512, 8), (1, 6, 6, 1),
+                                          seed=24), -1.0))
+    EDGE = least_gram_delta(1536, 3)
 
     @pytest.mark.parametrize("run, eigh_shape", [
         (lambda: tt_round(TestGramSweep.TALL, 1e-5), (4, 4)),
-        (lambda: tt_round(TestGramSweep.TALL, tt_module.GRAM_MIN_DELTA),
+        (lambda: tt_round(TestGramSweep.TALL, 1.01 * TestGramSweep.EDGE),
          (4, 4)),
-        (lambda: tt_round_sum([TestGramSweep.TALL, TestGramSweep.TALL_TOO],
-                              [1.0, -0.5], 1e-3), (4, 4)),
-        (lambda: tt_round(TestGramSweep.ASPECT, 1e-3), (192, 192)),
+        (lambda: tt_round(TestGramSweep.TALL, 0.99 * TestGramSweep.EDGE),
+         None),
         (lambda: tt_round(TestGramSweep.TALL, 1e-8), None),
+        (lambda: tt_round_sum([TestGramSweep.WIDE, TestGramSweep.WIDE_TOO],
+                              [1.0, -0.5], 1e-3), None),
         (lambda: tt_norm(TestGramSweep.TALL), None),
         (lambda: tt_first_mode_norms(TestGramSweep.TALL), None),
         (lambda: tt_first_mode_norms(TestGramSweep.TALL,
                                      TestGramSweep.TALL_TOO,
                                      coeffs=[1.0, -1.0]), None),
         (lambda: tt_round(TestGramSweep.FEW_ROWS, 1e-3), None),
-        (lambda: tt_round(TestGramSweep.SQUAT, 1e-3), None),
-    ], ids=["tall", "tall-at-min-delta", "tall-sum", "at-min-aspect",
-            "below-min-delta", "norm", "first-mode-norms",
-            "first-mode-norms-of-sum", "few-rows", "squat"])
+    ], ids=["tall", "above-least-delta", "below-least-delta", "judge-delta",
+            "sum", "norm", "first-mode-norms", "first-mode-norms-of-sum",
+            "few-rows"])
     def test_factor_each_entry_point_takes(self, run, eigh_shape,
                                            factor_calls):
         run()
@@ -700,6 +773,44 @@ class TestGramSweep:
             assert {call[1] for call in factor_calls} == {"r"}
         else:
             assert eighs == [("eigh", eigh_shape)]
+
+    def test_tall_rounding_keeps_its_gram_factor(self, factor_calls):
+        tt_round(self.TALL, 1e-5)
+        assert ("qr", "r", (1536, 4)) not in factor_calls
+
+    def test_cut_gives_up_the_gram_error(self, monkeypatch):
+        x = self.TALL
+        errs = tt_module._right_r_sweep(
+            np.ones((1, 1)), [[c] for c in x.cores], 0, 1e-5)[2]
+        cuts = []
+        basis = tt_module._truncated_basis
+
+        def spy(w, tau):
+            cuts.append(tau)
+            return basis(w, tau)
+
+        monkeypatch.setattr(tt_module, "_truncated_basis", spy)
+        tt_round(x, 1e-5)
+        tau = 1e-5 * tt_norm(x) / np.sqrt(2)
+        slack = errs[1] * np.vdot(x.cores[0], x.cores[0])
+        assert 1e-6 * tau**2 < slack <= tau**2 / 4
+        assert cuts == [pytest.approx(np.sqrt(tau**2 - slack), rel=1e-7),
+                        pytest.approx(tau, rel=1e-7)]
+
+    def test_gram_error_is_carried_left(self):
+        # d = 4: only core 2's unfolding (8 x 4096) is tall, and its Gram
+        # error reaches bond 0 through core 1.
+        x = rand_vec((16, 4, 512, 8), (1, 8, 8, 8, 1), seed=28)
+        _, _, errs = tt_module._right_r_sweep(
+            np.ones((1, 1)), [[c] for c in x.cores], 0, 1e-3)
+        assert errs[3] == 0.0 and errs[2] > 0.0
+        assert errs[1] == pytest.approx(
+            np.vdot(x.cores[1], x.cores[1]) * errs[2])
+
+    def test_cancelling_term_falls_back_on_geqrf(self, factor_calls):
+        tt_round(self.CANCELLING, 1e-5)
+        gram = factor_calls.index(("eigh", (15, 15)))
+        assert factor_calls.index(("qr", "r", (4096, 15))) > gram
 
 
 class TestInners:
