@@ -20,6 +20,7 @@ import contextlib
 import ctypes
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -250,7 +251,7 @@ def _write_table(prefix: Path, name: str, columns, rows, fmt: str,
                  head: dict, rows_key: str = "rows") -> Path:
     """Write `rows` to ``<prefix>_<name>.csv`` under a header of `columns`,
     or to ``<prefix>_<name>.json``: the `head` entries, then the rows as
-    dicts keyed by column under `rows_key`."""
+    dicts keyed by column under `rows_key`, NaN and infinities as null."""
     path = prefix.with_name(f"{prefix.name}_{name}.{fmt}")
     with open(path, "w") as f:
         if fmt == "csv":
@@ -260,7 +261,7 @@ def _write_table(prefix: Path, name: str, columns, rows, fmt: str,
         else:
             payload = {**head,
                        rows_key: [dict(zip(columns, row)) for row in rows]}
-            json.dump(payload, f, indent=1, default=_json_float)
+            json.dump(_jsonable(payload), f, indent=1, allow_nan=False)
     return path
 
 
@@ -290,12 +291,16 @@ def emit_trace(outcome, report, prefix: Path, fmt: str) -> list[Path]:
     return written
 
 
-def _json_float(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    raise TypeError(f"not JSON serializable: {type(x)}")
+def _jsonable(x):
+    """x with numpy scalars and arrays made Python numbers and lists, and
+    NaN and infinities made None: JSON (RFC 8259) has no token for them."""
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, (float, np.floating, np.integer)):
+        return float(x) if math.isfinite(x) else None
+    return x
 
 
 @contextlib.contextmanager
@@ -401,7 +406,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
     }
     mpath = prefix.with_name(prefix.name + "_manifest.json")
     with open(mpath, "w") as f:
-        json.dump(manifest, f, indent=1, default=_json_float)
+        json.dump(_jsonable(manifest), f, indent=1, allow_nan=False)
     manifest["manifest_path"] = str(mpath)
     return manifest
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import (NORM_SAMPLES, BackwardErrors, OperatorChain, _as_chain,
+from .solver import (BackwardErrors, OperatorChain, _as_chain,
                      backward_errors, estimate_l2_norm)
 from .tt import TTVector, tt_first_mode_norms, tt_op_diag_slice
 
@@ -168,7 +168,7 @@ def verify_bounds(a, b: TTVector, judgements,
     rayleigh = np.divide(ax_slice, x_slice_norm,
                          out=np.zeros_like(ax_slice), where=x_slice_norm > 0)
     slice_est = np.maximum(
-        [estimate_l2_norm(sc, NORM_SAMPLES, seed) for sc in sub_chains],
+        [estimate_l2_norm(sc, seed=seed) for sc in sub_chains],
         rayleigh.max(axis=0))
 
     # nu and k*: stabilization of |A_l x^[l]| around 1.

@@ -80,9 +80,6 @@ __all__ = [
     "dense_budget",
 ]
 
-#: entries of one stacked product in tt_inners
-INNERS_STACK_ENTRIES = 1 << 16
-
 # Least rows m of a core's unfolding C (r x m) that may take the Gram
 # factor (see the module docstring).  geqrf time over syrk + eigh time,
 # numpy, one OpenBLAS thread (Haswell kernels, 2 vCPUs), by rows m of C^T:
@@ -412,44 +409,26 @@ def tt_scale(x, c: float):
 
 
 def tt_inner(x: TTVector, y: TTVector) -> float:
-    """Euclidean dot product, by a left-to-right core sweep (tt_inners)."""
-    return float(tt_inners([x], y)[0])
+    """Euclidean dot product, by one left-to-right core sweep.
+
+    The carry g (r, s) is <x, y> contracted over the modes left of the
+    bond: y's core enters as g @ C_y, (r, n s'), and x's as one GEMM,
+    C_x^T (r', r n) @ (r n, s').
+    """
+    if x.modes != y.modes:
+        raise ModeMismatchError(f"modes differ: {x.modes} vs {y.modes}")
+    g = np.ones((1, 1))
+    for cx, cy in zip(x.cores, y.cores):
+        r, n, r_next = cx.shape
+        g = cx.reshape(r * n, r_next).T @ \
+            _carry_right(g, cy).reshape(r * n, -1)
+    return float(g[0, 0])
 
 
 def tt_inners(xs, y: TTVector) -> np.ndarray:
-    """<x_j, y> for every x_j in xs, from one left-to-right core sweep.
-
-    Each x_j carries its (r_j, s) contraction with y through the cores.
-    The carries of the x_j are stacked, so y's core k enters one GEMM,
-    (sum_j r_j, s) @ (s, n_k s'), per run of whole terms of at most
-    INNERS_STACK_ENTRIES product entries (a larger term alone), and only
-    the x side is taken term by term.  An empty xs gives an empty array.
-    """
-    xs = list(xs)
-    for x in xs:
-        if x.modes != y.modes:
-            raise ModeMismatchError(f"modes differ: {x.modes} vs {y.modes}")
-    if not xs:
-        return np.zeros(0)
-    g = np.ones((len(xs), 1))
-    for k, cy in enumerate(y.cores):
-        s, n, s_next = cy.shape
-        cy = cy.reshape(s, n * s_next)
-        limit = INNERS_STACK_ENTRIES // (n * s_next)
-        ends = np.cumsum([x.cores[k].shape[0] for x in xs])
-        carries, top = [], 0
-        for j, x in enumerate(xs):
-            r, _, r_next = x.cores[k].shape
-            lo = ends[j] - r
-            if ends[j] > top:
-                # stack the next whole terms, term j at least
-                last = np.searchsorted(ends, lo + limit, side="right") - 1
-                base, top = lo, ends[max(last, j)]
-                stacked = g[base:top] @ cy
-            part = stacked[lo - base:ends[j] - base].reshape(r * n, s_next)
-            carries.append(x.cores[k].reshape(r * n, r_next).T @ part)
-        g = np.concatenate(carries)
-    return g[:, 0]
+    """<x_j, y> for every x_j in xs, one tt_inner sweep per term; an empty
+    xs gives an empty array."""
+    return np.array([tt_inner(x, y) for x in xs], dtype=float)
 
 
 def _carry_right(carry: np.ndarray, core: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Brute-force dense oracles, independent of the package's contraction code,
-and reference constructions that the package's faster builders replaced."""
+reference constructions that the package's faster builders replaced, and
+spies that collect what the solver keeps no copy of."""
 
 import numpy as np
 
-from ttkrylov import TTOperator, make_tt_operator, make_tt_vector, tt_round
+from ttkrylov import (TTOperator, make_tt_operator, make_tt_vector, solver,
+                      tt_round)
 from ttkrylov.tt import _carry_right, _min_rank_for_tail
 
 
@@ -214,3 +216,37 @@ def tt_inner_tensordot(x, y):
         tmp = np.tensordot(g, cx, axes=([0], [0]))       # (ry, n, rx')
         g = np.tensordot(cy, tmp, axes=([0, 1], [0, 1])).T  # (rx', ry')
     return float(g[0, 0])
+
+
+def spy_bases(mp) -> list:
+    """Every cycle's Krylov basis, in cycle order, filled in as solves run.
+
+    `mp` is a pytest MonkeyPatch; the spy wraps solver._combine, which
+    receives the list of basis vectors that its cycle grows, so once the
+    cycle ends the list holds the whole basis.
+    """
+    bases = []
+    combine = solver._combine
+
+    def spy(v, y, delta):
+        if not any(b is v for b in bases):
+            bases.append(v)
+        return combine(v, y, delta)
+
+    mp.setattr(solver, "_combine", spy)
+    return bases
+
+
+def spy_judged_iterates(mp) -> list:
+    """Every iterate the solver judges, in trace order, filled in as solves
+    run; `mp` is a pytest MonkeyPatch, and the spy wraps
+    solver.backward_errors."""
+    iterates = []
+    judge = solver.backward_errors
+
+    def spy(a, x, *args, **kwargs):
+        iterates.append(x)
+        return judge(a, x, *args, **kwargs)
+
+    mp.setattr(solver, "backward_errors", spy)
+    return iterates

@@ -6,7 +6,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from ttkrylov import cli
+from ttkrylov import TTVector, cli
 from ttkrylov.cli import (EXPERIMENTS, TRACE_COLUMNS, ConfigError,
                           ExperimentConfig, build_config, emit_trace, main,
                           parse_config_text, presets_dir)
@@ -321,6 +321,36 @@ def test_prec_sweep_honours_json_format(tmp_path):
     assert set(rows[0]) == {"q", "tau", "max_rank", "opnorm_AM"}
 
 
+def _reject_constant(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def test_json_trace_writes_nan_as_null(tmp_path):
+    # A preconditioned trace's eta_Ab column is NaN; JSON (RFC 8259) has
+    # no NaN token, so it is written null where the CSV writes nan.
+    args = ["run", "convdiff_n63", "--set", "n=7", "--set", "q=2",
+            "--set", "m=10", "--set", "maxit=10"]
+    for fmt in ("csv", "json"):
+        assert main(args + ["--format", fmt,
+                            "--output", str(tmp_path / fmt)]) == 0
+    rows = (tmp_path / "csv" / "convdiff_n63_trace.csv").read_text()
+    header, *lines = rows.splitlines()
+    text = (tmp_path / "json" / "convdiff_n63_trace.json").read_text()
+    trace = json.loads(text, parse_constant=_reject_constant)["trace"]
+    json.loads((tmp_path / "json" / "convdiff_n63_manifest.json")
+               .read_text(), parse_constant=_reject_constant)
+    assert len(trace) == len(lines) > 0
+    nulls = 0
+    for line, row in zip(lines, trace):
+        for name, value in zip(header.split(","), line.split(",")):
+            if value == "nan":
+                assert row[name] is None
+                nulls += 1
+            else:
+                assert row[name] == float(value)
+    assert nulls >= len(trace)
+
+
 @pytest.mark.parametrize("experiment", ["eigen-rhs", "relaxed-compare"])
 def test_full_gmres_experiments_take_m_from_maxit(experiment):
     cfg = ExperimentConfig(experiment=experiment, m=50, maxit=10)
@@ -343,7 +373,10 @@ def test_bounds_run_keeps_no_iterate(tmp_path, monkeypatch):
                  "--output", str(tmp_path)])
     assert code == 0
     [outcome] = outcomes
-    assert outcome.iterates == []
+    assert [f.name for f in dataclasses.fields(outcome)
+             if "TTVector" in str(f.type)] == ["solution"]
+    assert not any(isinstance(v, TTVector) for j in outcome.judgements
+                   for v in vars(j).values())
     assert len(outcome.judgements) == outcome.iterations
     rows = (tmp_path / "param_convdiff_n15_p5_bounds.csv").read_text()
     assert len(rows.splitlines()) == 1 + 5 * outcome.iterations

@@ -21,6 +21,8 @@ from ttkrylov.solver import (NORM_SAMPLES, GmresConfig, OperatorChain,
 from ttkrylov import tt as tt_module
 from ttkrylov.tt import tt_norm, tt_scale
 
+from oracles import spy_judged_iterates
+
 P = 2
 N = 3
 
@@ -44,15 +46,17 @@ def solved(request):
         factors.append(kron_leading_identity(
             P, inv_laplacian_preconditioner(3, g, 2, 1e-2)))
     chain = OperatorChain(factors)
-    cfg = GmresConfig(m=40, maxit=40, epsilon=1e-9, delta=1e-12,
-                      keep_iterates=True)
-    out = tt_right_gmres(prob.operator, factors[1] if request.param else None,
-                         prob.rhs, cfg)
-    assert out.converged and len(out.iterates) >= 3
+    cfg = GmresConfig(m=40, maxit=40, epsilon=1e-9, delta=1e-12)
+    with pytest.MonkeyPatch.context() as mp:
+        iterates = spy_judged_iterates(mp)
+        out = tt_right_gmres(prob.operator,
+                             factors[1] if request.param else None,
+                             prob.rhs, cfg)
+    assert out.converged and len(iterates) >= 3
     dense = tt_op_to_dense(factors[0])
     for f in factors[1:]:
         dense = dense @ tt_op_to_dense(f)
-    return chain, prob.rhs, out.iterates, dense
+    return chain, prob.rhs, iterates, dense
 
 
 def judged(chain, b, iterates, opnorm):
@@ -271,7 +275,7 @@ def test_selector_follows_the_slice_operators(preconditioned):
     assert report.selector == "upsilon"
 
 
-def test_psi_check_uses_the_joint_norm_on_both_sides():
+def test_psi_check_uses_the_joint_norm_on_both_sides(monkeypatch):
     # Equal slices (b and 3b under I_2 x A): the psi bound is proved with one
     # operator norm on both sides, so it must hold at the solver's estimate
     # of |A| and at the dense 2-norm alike.
@@ -279,12 +283,12 @@ def test_psi_check_uses_the_joint_norm_on_both_sides():
     base = convection_diffusion_problem(g)
     op = kron_leading_identity(2, base.operator)
     rhs = all_in_one_rhs([base.rhs, tt_scale(base.rhs, 3.0)])
-    cfg = GmresConfig(m=40, maxit=40, epsilon=1e-9, delta=1e-12,
-                      keep_iterates=True)
+    iterates = spy_judged_iterates(monkeypatch)
+    cfg = GmresConfig(m=40, maxit=40, epsilon=1e-9, delta=1e-12)
     out = tt_right_gmres(op, None, rhs, cfg)
     assert out.converged
     for opnorm in (out.estimated_opnorm,
                    np.linalg.norm(tt_op_to_dense(op), 2)):
-        report = verify_bounds(op, rhs, judged(op, rhs, out.iterates, opnorm))
+        report = verify_bounds(op, rhs, judged(op, rhs, iterates, opnorm))
         assert report.selector == "gamma"
         assert report.violations == []

@@ -1,6 +1,7 @@
 """Every name a ttkrylov module imports is used in it, every name in its
-``__all__`` is bound in it, and every private module-level function is
-referenced somewhere in the package.
+``__all__`` is bound in it, and every private module-level function and
+every module-level UPPER_CASE constant is referenced somewhere in the
+package.
 
 Only the standard library's ``ast`` is used, so the check runs wherever the
 tests do.  A module's ``__all__`` entries count as uses, and ``__init__.py``
@@ -8,6 +9,7 @@ is exempt from the first check: its imports are the package's re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -113,4 +115,55 @@ def test_detects_an_unreferenced_helper():
 def test_every_private_function_is_referenced():
     # A helper the package no longer calls is deleted, not kept for tests.
     assert unreferenced_helpers(p.read_text() for p in SRC.glob("*.py")) \
+        == []
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def unreferenced_constants(sources) -> list[str]:
+    """Module-level UPPER_CASE constants that no module of `sources` names.
+
+    A constant is a name bound by a module-level assignment; a reference
+    is a name, an attribute or an imported name anywhere but in the
+    targets of that assignment (its value counts, so a constant defined
+    from another refers to it).  Strings, such as ``__all__`` entries, do
+    not count.
+    """
+    constants, refs = set(), set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            walked = [stmt]
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                constants |= {t.id for t in targets if isinstance(t, ast.Name)
+                              and CONSTANT.fullmatch(t.id)}
+                walked = [n for n in (stmt.value, getattr(stmt, "annotation",
+                                                          None)) if n]
+            for node in (n for top in walked for n in ast.walk(top)):
+                refs.add(node.id if isinstance(node, ast.Name)
+                         else node.attr if isinstance(node, ast.Attribute)
+                         else node.name if isinstance(node, ast.alias)
+                         else None)
+    return sorted(constants - refs)
+
+
+def test_detects_an_unreferenced_constant():
+    a = ("LIMIT = 1 << 16\n"
+         "SCALE: float = 2.0\n"
+         "_DERIVED = SCALE * 3\n"
+         "IMPORTED = 4\n"
+         "AS_ATTRIBUTE = 5\n"
+         "EXPORTED_ONLY = 6\n"
+         "lower_case = 7\n"
+         "__all__ = ['EXPORTED_ONLY']\n"
+         "def f(): return _DERIVED\n")
+    b = "from . import a\nfrom .a import IMPORTED\na.AS_ATTRIBUTE\n"
+    assert unreferenced_constants([a, b]) == ["EXPORTED_ONLY", "LIMIT"]
+
+
+def test_every_constant_is_referenced():
+    # A constant the package no longer reads is deleted, not kept for tests.
+    assert unreferenced_constants(p.read_text() for p in SRC.glob("*.py")) \
         == []

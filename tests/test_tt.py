@@ -814,7 +814,7 @@ class TestGramSweep:
 
 
 class TestInners:
-    """tt_inners: every <x_j, y> from one sweep, stacked on the y side."""
+    """tt_inners: every <x_j, y>, one tt_inner sweep per term."""
 
     @settings(max_examples=200, deadline=None)
     @given(scaled_terms(), st.integers(0, 2**32 - 1))
@@ -832,17 +832,26 @@ class TestInners:
             assert abs(g - tt_inner_tensordot(x, y)) <= 1e-13 * scale
         assert got.shape == (len(xs),)
 
-    @pytest.mark.parametrize("entries", [1, 20, 1 << 16])
-    def test_stack_taken_in_chunks(self, monkeypatch, entries):
-        # 1 and 20 entries cap the stacked rows at 0 to 10 per core: runs
-        # of whole terms are stacked, a term above the cap alone.
-        monkeypatch.setattr(tt_module, "INNERS_STACK_ENTRIES", entries)
-        xs = [rand_vec((3, 4, 2), (1, rank, 2, 1), seed=rank)
-              for rank in (1, 3, 2, 4, 1)]
-        y = rand_vec((3, 4, 2), (1, 2, 3, 1), seed=9)
-        dense_y = tt_to_dense(y)
-        ref = [np.vdot(tt_to_dense(x), dense_y) for x in xs]
-        np.testing.assert_allclose(tt_inners(xs, y), ref, rtol=1e-13)
+    @pytest.mark.parametrize("modes, count, max_rank",
+                             [((31, 31, 31), 25, 60),
+                              ((5, 15, 15, 15), 6, 56)],
+                             ids=["31^3", "5x15^3"])
+    def test_bench_sizes_match_tensordot_sweep(self, modes, count,
+                                                max_rank):
+        # Basis-sized terms, as the MGS sweeps of the bench workloads see.
+        r = np.random.default_rng(len(modes))
+        d = len(modes)
+        y = rand_vec(modes, [1, *r.integers(1, max_rank + 1, d - 1), 1],
+                     seed=100)
+        xs = [rand_vec(modes, [1, *r.integers(1, max_rank + 1, d - 1), 1],
+                       seed=j)
+              for j in range(count)]
+        xs[0] = rand_vec(modes, [1] + [max_rank] * (d - 1) + [1], seed=99)
+        got = tt_inners(xs, y)
+        assert got.shape == (count,)
+        for g, x in zip(got, xs):
+            scale = tt_norm(x) * tt_norm(y)
+            assert abs(g - tt_inner_tensordot(x, y)) <= 1e-13 * scale
 
     def test_inner_is_the_one_term_sweep(self):
         x = rand_vec((3, 4, 5), (1, 2, 3, 1), seed=3)
