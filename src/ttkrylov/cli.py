@@ -101,7 +101,6 @@ class ExperimentConfig:
 
     experiment: str
     n: int = 15
-    d: int = 3
     p: int = 0
     m: int = 25
     epsilon: float = 1e-5
@@ -129,8 +128,6 @@ class ExperimentConfig:
         spec = EXPERIMENTS[self.experiment]
         if self.n < 2:
             raise ConfigError("n: must be >= 2")
-        if self.d != 3 and self.experiment != "poisson":
-            raise ConfigError("d: only d=3 problem builders are available")
         if spec.stacked and self.p < 1:
             raise ConfigError(
                 f"p: required (>= 1) for experiment {self.experiment}")
@@ -168,8 +165,7 @@ class ExperimentConfig:
 
     def _unread_keys(self, spec) -> set[str]:
         """Keys that the run of this experiment never reads."""
-        # No builder reads d yet: every problem is 3-d.
-        unread = {"d", "j", "rank_cap"} - set(spec.reads)
+        unread = {"j", "rank_cap"} - set(spec.reads)
         if not spec.stacked:
             unread.add("p")
         if spec.full:
@@ -266,17 +262,19 @@ def _write_table(prefix: Path, name: str, columns, rows, fmt: str,
 
 
 def emit_trace(outcome, report, prefix: Path, fmt: str) -> list[Path]:
-    """Write the convergence trace (and bound report) next to `prefix`."""
+    """Write the convergence trace (and bound report) next to `prefix`; the
+    report's rows and k_star name the trace iteration of each judgement."""
     written = [_write_table(
         prefix, "trace", TRACE_COLUMNS,
         map(dataclasses.astuple, outcome.trace), fmt,
         {"converged": outcome.converged, "iterations": outcome.iterations,
          "estimated_opnorm": outcome.estimated_opnorm}, rows_key="trace")]
     if report is not None:
+        judged = [rec.k for rec in outcome.trace if not math.isnan(rec.eta_b)]
         rows = []
         for k in range(report.iterations):
             for ell in range(report.p):
-                rows.append((k + 1, ell + 1,
+                rows.append((judged[k], ell + 1,
                              report.eta_b_slice[k][ell],
                              report.eta_Ab_slice[k][ell],
                              report.rho_ell[k][ell],
@@ -285,7 +283,7 @@ def emit_trace(outcome, report, prefix: Path, fmt: str) -> list[Path]:
         written.append(_write_table(
             prefix, "bounds", BOUND_COLUMNS, rows, fmt,
             {"ell_min": report.ell_min, "ell_max": report.ell_max,
-             "nu": report.nu, "k_star": report.k_star,
+             "nu": report.nu, "k_star": judged[report.k_star],
              "selector": report.selector,
              "violations": report.violations}))
     return written

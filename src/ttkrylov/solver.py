@@ -2,12 +2,13 @@
 
 One engine, the restarted right-preconditioned driver ``tt_right_gmres``,
 runs every variant: full GMRES is the restart length m = maxit, and relaxed
-GMRES is a rounding policy.  Iteration k of a cycle rounds at an accuracy
-delta_k after each operator contraction, after the orthogonalization sweep,
-and when the iterate is assembled.  The constant policy keeps
-delta_k = delta; the relaxed policy loosens every one of these roundings to
-delta_k = min(1, delta / |r~_{k-1}|), with |r~_{k-1}| the least-squares
-residual norm of the previous iteration (the cycle's rhs norm at k = 1).
+GMRES is a rounding policy.  It sets only the accuracy delta_k of the two
+roundings of iteration k's Arnoldi step, of A M v_k (M v_k too, between
+the factors) and of the new basis vector: delta for the constant policy,
+min(1, delta |b| / |r~_{k-1}|) for the relaxed one, with |r~_{k-1}| the
+previous least-squares residual norm (the cycle's rhs norm at k = 1).
+As in Simoncini & Szyld (SISC 2003), the iterate and the stop are not
+loosened: both policies assemble at delta and judge alike.
 
 The driver keeps one iterate u, in the variable the chain A M acts on:
 each cycle solves A M t = r for r = round(b - A M u, delta), then
@@ -25,9 +26,9 @@ tau, forms the last product A (M x) exactly and norms b - A M x with one
 R sweep, so the residual is exact for the vector it judges; without a
 preconditioner it rounds nothing.  The rounding of M x moves the residual
 by at most tau |A| |M x|; against a judge at WORKING_PRECISION it moved
-eta by at most 0.4 tau on the measured presets.  The constant policy
-stops only when eta < epsilon - tau, a margin that keeps the certificate
-under that perturbation.
+eta by at most 0.4 tau on the measured presets.  Both policies stop
+only when eta < epsilon - tau, a margin that keeps the certificate under
+that perturbation.
 
 Each cycle keeps its (m+1) x m Hessenberg matrix and, after every step,
 solves the small least-squares problem by one dense QR (hessenberg_lsq);
@@ -35,7 +36,7 @@ at m <= 100 that QR is small next to the TT arithmetic of a step.
 
 Every rounded sum is one tt_round_sum, which works on the terms one at a
 time and never forms the rank-sum cores: the least-squares update t = V y
-at delta_k over the k terms y_j v_j, so it needs no intermediate rounding;
+at delta over the k terms y_j v_j, so it needs no intermediate rounding;
 the MGS sum below; the judged iterate u + t at tau; and, per cycle, the
 restart residual b - A M u and the update u + t at delta.
 
@@ -102,8 +103,7 @@ __all__ = [
 #: rounding accuracy used where the algorithm calls for exact arithmetic
 WORKING_PRECISION = 1e-13
 #: the solver judges its iterates at this fraction of epsilon (no finer
-#: than WORKING_PRECISION), and the constant policy stops below epsilon
-#: minus that accuracy
+#: than WORKING_PRECISION), and stops below epsilon minus that accuracy
 JUDGE_ACCURACY = 1e-3
 #: random vectors, and their bond rank, of the sampled L2-norm estimate
 NORM_SAMPLES = 10
@@ -123,7 +123,6 @@ class GmresConfig:
     m: int = 25                       # restart length (iterations per cycle)
     epsilon: float = 1e-5             # stop when eta_Ab < epsilon - tau,
     #                                   tau = judge_accuracy(epsilon)
-    #                                   (relaxed: eta~_b < epsilon)
     delta: float = 1e-5               # rounding accuracy
     maxit: int = 100                  # global iteration cap
     rounding_policy: str = "constant"   # constant | relaxed
@@ -399,8 +398,8 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
     appends each iteration's record to `out`, and the judgement of each
     assembled iterate round(u + t, tau), tau = judge_accuracy(epsilon).
     Returns (t, stop): t is the least-squares update of the last iteration,
-    assembled on exit if that iteration was not, and stop is None
-    (restart), "converged", "plateaued" or "stagnated".
+    assembled at delta, as a cycle ends only on an assembled iteration, and
+    stop is None (restart), "converged", "plateaued" or "stagnated".
 
     After step k, one QR of the leading k columns of the kept Hessenberg
     matrix (hessenberg_lsq) gives y, the residual and R's last diagonal
@@ -427,13 +426,11 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
     stop = None
 
     for k in range(1, cycle_len + 1):
-        # Relaxed policy: every rounding of iteration k is loosened to
-        # delta_k, scaled by the inverse least-squares residual norm of the
-        # previous iteration, so the perturbation grows as it shrinks.
+        # Relaxed policy: the Arnoldi step's roundings are loosened by
+        # |b| / |r~_{k-1}|, so the perturbation grows as the residual shrinks.
+        delta_k = cfg.delta
         if relaxed:
-            delta_k = min(1.0, cfg.delta / max(lsq_residual, 1e-300))
-        else:
-            delta_k = cfg.delta
+            delta_k = min(1.0, delta_k * (beta / max(lsq_residual, 1e-300)))
         # Each of the k MGS terms left out of the sum moves it by at most
         # delta_k / (4k) relative, delta_k / 4 in all.
         stab = delta_k / (4.0 * k)
@@ -453,16 +450,14 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
             BREAKDOWN_TOL * np.linalg.norm(hbar[:k + 1, k - 1])
         if hard:
             y, lsq_residual, _ = hessenberg_lsq(hbar[:k, :k - 1], r_norm)
-        eta_tilde = lsq_residual / beta
         out.iterations += 1
 
         assemble = breakdown or k == cycle_len \
-            or (k % cfg.assembly_every == 0) \
-            or (relaxed and eta_tilde < cfg.epsilon)
+            or k % cfg.assembly_every == 0
         t = None
         eta = BackwardErrors(*[math.nan] * 8)
         if assemble:
-            t = _combine(v, y, delta_k)
+            t = _combine(v, y, cfg.delta)
             x = t if u is None else tt_round_sum([u, t], [1.0, 1.0], tau)
             eta = backward_errors(chain, x, b, out.estimated_opnorm, beta,
                                   tau)
@@ -473,7 +468,7 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
             eta_b=eta.eta_b,
             eta_Ab=math.nan if preconditioned else eta.eta_Ab,
             eta_AMb=eta.eta_Ab if preconditioned else math.nan,
-            eta_tilde_b=eta_tilde,
+            eta_tilde_b=lsq_residual / beta,
             lsq_residual=lsq_residual,
             true_residual=eta.residual_norm,
             max_rank_v=v_stats.max_rank,
@@ -483,19 +478,18 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
             delta_used=delta_k,
         ))
 
-        # The relaxed policy stops on the least-squares residual, which
-        # needs no assembled iterate; the constant one on eta_Ab, judged at
-        # tau, with a margin of tau below epsilon.
-        crit = eta_tilde if relaxed else eta.eta_Ab
-        if not math.isnan(crit):
-            eta_hist.append(crit)
-            if crit < (cfg.epsilon if relaxed else cfg.epsilon - tau):
+        # Both policies stop on eta_Ab, judged at tau, with a margin of tau
+        # below epsilon.
+        if assemble:
+            eta_hist.append(eta.eta_Ab)
+            if eta.eta_Ab < cfg.epsilon - tau:
                 stop = "converged"
                 break
         if breakdown:
             stop = "stagnated" if hard else None
             break
-        if cfg.plateau_window and len(eta_hist) > cfg.plateau_window:
+        if assemble and cfg.plateau_window \
+                and len(eta_hist) > cfg.plateau_window:
             window = eta_hist[-(cfg.plateau_window + 1):]
             best_prev, latest = min(window[:-1]), window[-1]
             if latest <= 100 * cfg.delta and \
@@ -503,8 +497,6 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
                 stop = "plateaued"
                 break
 
-    if t is None:
-        t = _combine(v, y, delta_k)
     return t, stop
 
 
@@ -521,13 +513,14 @@ def tt_gmres(a, b: TTVector, cfg: GmresConfig) -> GmresOutcome:
 def relaxed_tt_gmres(a, b: TTVector, cfg: GmresConfig) -> GmresOutcome:
     """Full TT-GMRES with an iteration-dependent rounding accuracy.
 
-    Every rounding of step k (operator contractions, basis vector and
-    assembled iterate) is done at ``delta_k = min(1, delta / |r~_{k-1}|)``,
-    where |r~_{k-1}| is the least-squares residual norm of the previous
-    step.  The new basis vector is one rounding at delta_k of the exact
-    MGS vector, less the MGS terms left out of the sum, which move it by
-    at most delta_k / 4 relative; the stopping test is on the scaled
-    least-squares residual eta_tilde_b.
+    The Arnoldi step of iteration k rounds the product A v_k and the new
+    basis vector at ``delta_k = min(1, delta |b| / |r~_{k-1}|)``, where
+    |r~_{k-1}| is the least-squares residual norm of the previous step, so
+    delta_1 = delta.  The new basis vector is one rounding at delta_k of
+    the exact MGS vector, less the MGS terms left out of the sum, which
+    move it by at most delta_k / 4 relative.  Nothing else is loosened:
+    the iterate is assembled at delta and judged, and the solve stops, as
+    under the constant policy.
     """
     return tt_gmres(a, b, replace(cfg, rounding_policy="relaxed"))
 
@@ -544,7 +537,7 @@ def tt_right_gmres(a, m: TTOperator | None, b: TTVector,
     preconditioner, with the trace of all cycles.  Each trace row's eta is
     the backward error of the assembled iterate x = round(u + t, tau) on
     the whole system A M x = b, judged at tau = judge_accuracy(epsilon);
-    the constant policy converges when it falls below epsilon - tau.  The
+    either policy converges when it falls below epsilon - tau.  The
     restart residual forms A M u with M u rounded at WORKING_PRECISION.
     Two events raise meta["stagnated"] and stop the solve unconverged: a
     cycle that fails to shrink the outer residual by 1e-14 relative, and a

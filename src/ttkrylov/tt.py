@@ -724,8 +724,9 @@ def tt_round_sum(terms, coeffs, delta: float) -> TTVector:
     Work and memory grow linearly with the number of terms, where rounding
     the formed sum also spends both on its zero blocks.  Ranks never
     exceed the sum's; ``|x - round(x)| <= delta * |x|`` for x the exact
-    sum, up to the round-off of summing the terms, eps sum_j |c_j t_j|,
-    on either factor.
+    sum, up to the round-off of contracting the cores, a small multiple of
+    eps sum_j |c_j| prod_k |B_k^j|_F, which cancellation can put far above
+    eps |x|.
     """
     if not delta >= 0:
         raise TTError("delta must be >= 0")

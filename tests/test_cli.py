@@ -98,6 +98,15 @@ def test_non_finite_values_exit_2(setting, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unknown_key_exits_2(tmp_path, capsys):
+    code = main(["run", "poisson_n63", "--set", "d=3",
+                 "--output", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: d: unknown configuration key"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("preset,setting,message", [
     ("poisson_n63", "assembly_every=0", "assembly_every must be >= 1"),
     ("poisson_n63", "plateau_window=-1", "plateau_window must be >= 0"),
@@ -206,7 +215,6 @@ def test_bounds_rejected_before_build_unless_stacked(preset, tmp_path,
 
 @pytest.mark.parametrize("preset,key,value", [
     ("poisson_n63", "p", 2),
-    ("poisson_n63", "d", 4),
     ("poisson_n63", "q", 4),
     ("poisson_n63", "tau", 0.1),
     ("param_convdiff_n15_p5", "j", 3),
@@ -383,6 +391,24 @@ def test_bounds_run_keeps_no_iterate(tmp_path, monkeypatch):
     manifest = json.loads(
         (tmp_path / "param_convdiff_n15_p5_manifest.json").read_text())
     assert manifest["bound_violations"] == {"": 0}
+
+
+def test_bound_report_labelled_by_trace_iteration(tmp_path):
+    # Judged every third iteration, the report's rows and its k_star name
+    # the trace iterations judged, not the order of the judgements.
+    code = main(["run", "param_convdiff_n15_p5", "--set", "n=7",
+                 "--set", "assembly_every=3", "--format", "json",
+                 "--output", str(tmp_path)])
+    assert code == 0
+    trace = json.loads((tmp_path / "param_convdiff_n15_p5_trace.json")
+                       .read_text())["trace"]
+    judged = [row["iter"] for row in trace if row["eta_b"] is not None]
+    assert judged == [3, 6, 9, 12, 15, 18, 21]
+    bounds = json.loads(
+        (tmp_path / "param_convdiff_n15_p5_bounds.json").read_text())
+    assert [row["iter"] for row in bounds["rows"]] == \
+        [k for k in judged for _ in range(5)]
+    assert bounds["k_star"] in judged
 
 
 @pytest.mark.parametrize("jobs, started", [("500", [2]), ("1", [])])

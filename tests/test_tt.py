@@ -496,13 +496,37 @@ ROUND_OFF_RANK_SUM = (
     np.array([0.0, 0.317]))
 
 
+def _cancelling_sum():
+    """d = 4, every mode 1: four terms with O(1) cores, of which only the
+    first has a nonzero coefficient, and its cores contract to about 1e-5
+    of their norms, so |x| is far below the parts it is formed from."""
+    cores = list(rand_vec((1, 1, 1, 1), (1, 2, 2, 2, 1), seed=1).cores)
+    g = (cores[0][:, 0] @ cores[1][:, 0] @ cores[2][:, 0]).ravel()
+    last = cores[3].ravel()
+    target = 1e-5 * np.linalg.norm(g) * np.linalg.norm(last)
+    cores[3] = (last - (g @ last - target) * g / (g @ g)).reshape(2, 1, 1)
+    others = [rand_vec((1, 1, 1, 1), ranks, seed=seed) for seed, ranks in
+              ((2, (1, 3, 2, 4, 1)), (3, (1, 4, 4, 1, 1)),
+               (4, (1, 1, 2, 3, 1)))]
+    return [make_tt_vector(cores)] + others, np.array([-0.739, 0.0, 0.0, 0.0])
+
+
+#: round-off allowed per unit of sum_j |c_j| prod_k |B_k^j|_F, the size of
+#: the parts the sum is contracted from; 15,000 random draws of
+#: scaled_terms reached 10 eps
+ROUND_OFF = 1000 * np.finfo(float).eps
+
+
 class TestRoundSum:
     """tt_round_sum is tt_round of the formed sum, never formed."""
 
     @settings(max_examples=300, deadline=None)
     @given(scaled_terms(), st.sampled_from([0.0, 1e-10, 1e-4, 0.3]))
     @example(ROUND_OFF_RANK_SUM, 0.0)
+    @example(_cancelling_sum(), 0.0)
     def test_matches_round_of_formed_sum(self, case, delta):
+        # Contracting the cores errs at the size of the parts, which
+        # cancellation can put far above |x|.
         terms, coeffs = case
         x = _formed_sum(terms, coeffs)
         z = tt_round_sum(terms, coeffs, delta)
@@ -515,9 +539,11 @@ class TestRoundSum:
             assert all(r <= s for r, s in zip(z.ranks, x.ranks))
         exact = tt_to_dense(x)
         nrm = np.linalg.norm(exact)
-        assert np.linalg.norm(tt_to_dense(z) - tt_to_dense(ref)) \
-            <= 1e-12 * nrm
-        assert np.linalg.norm(tt_to_dense(z) - exact) <= (delta + 1e-12) * nrm
+        slack = ROUND_OFF * sum(
+            abs(c) * np.prod([np.linalg.norm(core) for core in t.cores])
+            for t, c in zip(terms, coeffs))
+        assert np.linalg.norm(tt_to_dense(z) - tt_to_dense(ref)) <= slack
+        assert np.linalg.norm(tt_to_dense(z) - exact) <= delta * nrm + slack
 
     @settings(max_examples=100, deadline=None)
     @given(scaled_terms())
