@@ -115,8 +115,9 @@ class ExperimentConfig:
     j: int = 10                # eigen-rhs: eigenvector count of the slow rhs
     rank_cap: int = 8          # multi-rhs perturbation rank cap
     bounds: bool = False       # evaluate the per-slice bound report
-    assembly_every: int = 1
-    plateau_window: int = 0
+    assembly_every: int = 0    # judge every c steps; 0: on demand
+    plateau_window: int = 0    # 0: the row's own window (none but in
+    #                            relaxed-compare); needs assembly_every >= 1
 
     def validate(self) -> list[str]:
         """Raise ConfigError on invalid fields, return warnings."""
@@ -136,6 +137,11 @@ class ExperimentConfig:
         if self.bounds and not spec.stacked:
             raise ConfigError(
                 f"bounds: experiment {self.experiment} stacks no systems")
+        # On demand judges only the rows the predictor picks, often one to
+        # three per solve, too few for the report to trace the bounds.
+        if self.bounds and not self.assembly_every:
+            raise ConfigError("bounds: on demand judges too few iterates for "
+                              "the report; set assembly_every >= 1")
         if self.experiment == "eigen-rhs" and not 1 <= self.j <= self.n - 1:
             raise ConfigError("j: must lie in 1..n-1 for eigen-rhs")
         if self.q < 0:
@@ -179,12 +185,14 @@ class ExperimentConfig:
 
     def gmres_config(self, **overrides) -> GmresConfig:
         """Solver settings of the run; a full-GMRES experiment restarts
-        only after maxit iterations (m = maxit)."""
-        m = self.maxit if EXPERIMENTS[self.experiment].full else self.m
+        only after maxit iterations (m = maxit), and a plateau_window of 0
+        takes the row's own."""
+        spec = EXPERIMENTS[self.experiment]
+        m = self.maxit if spec.full else self.m
         base = dict(m=m, epsilon=self.epsilon, delta=self.delta,
                     maxit=self.maxit, seed=self.seed,
                     assembly_every=self.assembly_every,
-                    plateau_window=self.plateau_window)
+                    plateau_window=self.plateau_window or spec.plateau_window)
         base.update(overrides)
         try:
             return GmresConfig(**base)
@@ -445,10 +453,11 @@ def _eigen_rhs_systems(cfg: ExperimentConfig, g: Grid1D):
 
 def _relaxed_compare_systems(cfg: ExperimentConfig, g: Grid1D):
     """Constant-delta control versus the relaxed policy on the same system,
-    both aimed below the rounding floor; a plateau stops the control."""
+    both aimed below the rounding floor; the row's plateau window stops
+    either at its floor."""
     instance = convection_diffusion_problem(g)
     return [("_constant", instance.operator, instance.rhs,
-             {"epsilon": 1e-15, "plateau_window": cfg.plateau_window or 4}),
+             {"epsilon": 1e-15}),
             ("_relaxed", instance.operator, instance.rhs,
              {"epsilon": 1e-15, "rounding_policy": "relaxed"})]
 
@@ -472,6 +481,7 @@ class _Experiment(NamedTuple):
     full: bool = False                 # solves with full GMRES: m = maxit
     judged: bool = True                # the exit code reports convergence
     reads: tuple[str, ...] = ()        # row-specific keys: j, rank_cap
+    plateau_window: int = 0            # the window when the config sets 0
 
 
 _UNIT = (0.0, 1.0)
@@ -506,7 +516,8 @@ EXPERIMENTS = {
         _UNIT, build=_eigen_rhs_systems, full=True, reads=("j",)),
     "prec-sweep": _Experiment(_UNIT, run=_run_prec_sweep),
     "relaxed-compare": _Experiment(
-        _CENTRED, build=_relaxed_compare_systems, full=True, judged=False),
+        _CENTRED, build=_relaxed_compare_systems, full=True, judged=False,
+        plateau_window=4),
 }
 
 

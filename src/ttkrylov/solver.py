@@ -13,12 +13,31 @@ loosened: both policies assemble at delta and judge alike.
 The driver keeps one iterate u, in the variable the chain A M acts on:
 each cycle solves A M t = r for r = round(b - A M u, delta), then
 u = round(u + t, delta), and the solution is x = round(M u, delta), formed
-once at the end.  Every iteration is logged as an IterationRecord; its eta
-is the normwise backward error, from backward_errors, of the assembled
-iterate x = round(u + t, tau) (x = t in the first cycle) on the whole
-system A M x = b, and convergence is judged on it.  Rounding the sum keeps
-A M from being applied at rank r_u + r_t.  The outcome keeps every
-judgement, with its slice norms, for the bound report to read.
+once at the end.  Every iteration is logged as an IterationRecord.  A
+judged row's eta is the normwise backward error, from backward_errors, of
+the assembled iterate x = round(u + t, tau) (x = t in the first cycle) on
+the whole system A M x = b, and convergence is judged on it alone.
+Rounding the sum keeps A M from being applied at rank r_u + r_t.  The
+outcome keeps every judgement, with its slice norms, for the bound report
+to read.
+
+Which rows are judged is set by assembly_every.  At c >= 1 the iterate is
+assembled and judged every c steps.  At 0, the default, it is judged on
+demand: only where the free predictor
+eta^_k = |r~_k| / (|A| (|u| + |y_k|) + |b|) is at most PREDICTOR_MARGIN
+epsilon, where r~_k is the least-squares residual and y_k the
+least-squares solution of the step.  |r~_k| is the true residual norm in
+exact arithmetic (Saad & Schultz, SISC 1986); in finite precision the two
+part (Greenbaum, Rozloznik & Strakos, BIT 1997), which is why the judge
+still decides.  As |u| + |y_k| >= |u + V y_k| up to the basis' loss of
+orthogonality, the denominator can only make eta^ err low.  The numerator
+|r~_k| can exceed the true residual, and the margin of 2 lets it be up to
+twice the true one before a row that could end the solve goes unjudged;
+such a miss costs iterations, up to the cycle's last step, never a wrong
+verdict.
+Either way a breakdown and a cycle's last step, whose update the restart
+needs, are always judged, and a row that is not carries NaN in its eta,
+true residual and iterate rank.
 
 The judge works at the precision its verdict needs,
 tau = max(WORKING_PRECISION, JUDGE_ACCURACY * epsilon).  It rounds M x at
@@ -81,6 +100,7 @@ from .tt import (
     tt_random,
     tt_round,
     tt_round_sum,
+    tt_rounded_norm,
     tt_scale,
     tt_zero,
 )
@@ -114,6 +134,10 @@ BREAKDOWN_TOL = 1e-14
 #: a plateau is a window whose best value the latest one fails to beat by
 #: this relative margin
 PLATEAU_RTOL = 0.05
+#: on demand (assembly_every = 0), a row is judged when the free predictor
+#: of its eta is at most this many times epsilon: a least-squares residual
+#: up to this many times the true one still calls the judge in time
+PREDICTOR_MARGIN = 2.0
 
 
 @dataclass(frozen=True)
@@ -127,8 +151,12 @@ class GmresConfig:
     maxit: int = 100                  # global iteration cap
     rounding_policy: str = "constant"   # constant | relaxed
     seed: int = 0                     # first sample of the norm estimate
-    assembly_every: int = 1           # evaluate the iterate every c steps
-    plateau_window: int = 0           # 0 disables plateau detection
+    assembly_every: int = 0           # judge the iterate every c steps;
+    #                                   0: on demand, where the free
+    #                                   predictor says it can stop
+    plateau_window: int = 0           # 0 disables plateau detection; a
+    #                                   plateau is read on judged rows, so
+    #                                   it needs assembly_every >= 1
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
@@ -139,10 +167,13 @@ class GmresConfig:
             raise ValueError("m must be >= 1")
         if self.maxit < self.m:
             raise ValueError("maxit must be >= m")
-        if self.assembly_every < 1:
-            raise ValueError("assembly_every must be >= 1")
+        if self.assembly_every < 0:
+            raise ValueError("assembly_every must be >= 0")
         if self.plateau_window < 0:
             raise ValueError("plateau_window must be >= 0")
+        if self.plateau_window and not self.assembly_every:
+            raise ValueError("plateau_window needs assembly_every >= 1: a "
+                             "plateau is read on judged rows")
         if self.rounding_policy not in ("constant", "relaxed"):
             raise ValueError(f"unknown rounding policy {self.rounding_policy}")
 
@@ -351,8 +382,10 @@ def _combine(v, y, delta: float) -> TTVector:
     return tt_round_sum(v[:len(y)], y, delta)
 
 
-def _orthogonalize(w: TTVector, v, gram, stab: float, delta: float):
-    """MGS of w against the unit vectors v, exact, then one rounding.
+def _orthogonalize(w: TTVector, w_norm: float, v, gram, stab: float,
+                   delta: float):
+    """MGS of w, of norm w_norm, against the unit vectors v, exact, then
+    one rounding.
 
     The coefficients are those of MGS on the unrounded running sum
     w_i = w - sum_{j < i, j kept} c_j v_j: c_i = <v_i, w_i> =
@@ -371,7 +404,7 @@ def _orthogonalize(w: TTVector, v, gram, stab: float, delta: float):
     """
     c = tt_inners(v, w)
     kept = []
-    w_sq = tt_norm(w) ** 2
+    w_sq = w_norm * w_norm
     for i in range(len(v)):
         if kept:
             row = gram[i]
@@ -397,9 +430,15 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
     Runs at most cfg.m iterations, and no more than cfg.maxit in total, and
     appends each iteration's record to `out`, and the judgement of each
     assembled iterate round(u + t, tau), tau = judge_accuracy(epsilon).
-    Returns (t, stop): t is the least-squares update of the last iteration,
-    assembled at delta, as a cycle ends only on an assembled iteration, and
-    stop is None (restart), "converged", "plateaued" or "stagnated".
+    u, when given, is a tt_round_sum result, so |u| is its last core's
+    norm.  Step k is assembled at a breakdown, at the cycle's last step,
+    and every cfg.assembly_every steps, or, at 0, where the predictor
+    |r~_k| / (|A| (|u| + |y_k|) + |b|) is at most PREDICTOR_MARGIN
+    epsilon; only an assembled step is judged, and only a judged eta
+    below epsilon - tau converges.  Returns (t, stop): t is the
+    least-squares update of the last iteration, assembled at delta, as a
+    cycle ends only on an assembled iteration, and stop is None
+    (restart), "converged", "plateaued" or "stagnated".
 
     After step k, one QR of the leading k columns of the kept Hessenberg
     matrix (hessenberg_lsq) gives y, the residual and R's last diagonal
@@ -416,6 +455,7 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
     preconditioned = len(chain.factors) > 1
     relaxed = cfg.rounding_policy == "relaxed"
     tau = judge_accuracy(cfg.epsilon)
+    u_norm = 0.0 if u is None else tt_rounded_norm(u)
     v = [tt_scale(r, 1.0 / r_norm)]
     v_stats = storage_stats(v[0])
     basis_entries = v_stats.tt_entries
@@ -436,8 +476,9 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
         stab = delta_k / (4.0 * k)
 
         w = tt_round(chain.apply(v[-1], delta_k), delta_k)
-        w, coeffs, _ = _orthogonalize(w, v, gram, stab, delta_k)
-        h_last = tt_norm(w)
+        w, coeffs, _ = _orthogonalize(w, tt_rounded_norm(w), v, gram, stab,
+                                      delta_k)
+        h_last = tt_rounded_norm(w)
         hbar[:k, k - 1] = coeffs
         hbar[k, k - 1] = h_last
         breakdown = h_last < BREAKDOWN_TOL * r_norm
@@ -452,8 +493,14 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
             y, lsq_residual, _ = hessenberg_lsq(hbar[:k, :k - 1], r_norm)
         out.iterations += 1
 
-        assemble = breakdown or k == cycle_len \
-            or k % cfg.assembly_every == 0
+        if breakdown or k == cycle_len:
+            assemble = True
+        elif cfg.assembly_every:
+            assemble = k % cfg.assembly_every == 0
+        else:
+            # eta^_k <= PREDICTOR_MARGIN epsilon, without the division
+            assemble = lsq_residual <= PREDICTOR_MARGIN * cfg.epsilon * (
+                out.estimated_opnorm * (u_norm + np.linalg.norm(y)) + beta)
         t = None
         eta = BackwardErrors(*[math.nan] * 8)
         if assemble:
@@ -534,10 +581,13 @@ def tt_right_gmres(a, m: TTOperator | None, b: TTVector,
     acts on, and repeats: r = round(b - A M u, delta) (r = b at the start);
     run a cycle on A M t = r for up to cfg.m iterations; u = round(u + t,
     delta).  It returns x = round(M u, delta), or u without a
-    preconditioner, with the trace of all cycles.  Each trace row's eta is
-    the backward error of the assembled iterate x = round(u + t, tau) on
-    the whole system A M x = b, judged at tau = judge_accuracy(epsilon);
-    either policy converges when it falls below epsilon - tau.  The
+    preconditioner, with the trace of all cycles.  A judged trace row's
+    eta is the backward error of the assembled iterate
+    x = round(u + t, tau) on the whole system A M x = b, judged at
+    tau = judge_accuracy(epsilon); either policy converges when it falls
+    below epsilon - tau.  Rows are judged every cfg.assembly_every steps,
+    or, at 0, on demand, where the free least-squares predictor says the
+    row may converge (see _gmres_cycle); the other rows hold NaN eta.  The
     restart residual forms A M u with M u rounded at WORKING_PRECISION.
     Two events raise meta["stagnated"] and stop the solve unconverged: a
     cycle that fails to shrink the outer residual by 1e-14 relative, and a
@@ -561,7 +611,7 @@ def tt_right_gmres(a, m: TTOperator | None, b: TTVector,
         if u is not None:
             r = tt_round_sum([b, chain.apply(u, WORKING_PRECISION)],
                              [1.0, -1.0], cfg.delta)
-            prev_norm, r_norm = r_norm, tt_norm(r)
+            prev_norm, r_norm = r_norm, tt_rounded_norm(r)
             if r_norm > prev_norm * (1.0 - 1e-14):
                 out.meta["stagnated"] = True
                 break

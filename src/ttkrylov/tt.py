@@ -71,6 +71,7 @@ __all__ = [
     "tt_first_mode_norms",
     "tt_round",
     "tt_round_sum",
+    "tt_rounded_norm",
     "tt_apply",
     "tt_op_compose",
     "tt_random",
@@ -727,6 +728,12 @@ def tt_round_sum(terms, coeffs, delta: float) -> TTVector:
     sum, up to the round-off of contracting the cores, a small multiple of
     eps sum_j |c_j| prod_k |B_k^j|_F, which cancellation can put far above
     eps |x|.
+
+    Cores 0, ..., d-2 of the result are the kept singular vectors U_r,
+    with orthonormal columns, so |result| = |core d-1|_F up to round-off
+    (tt_rounded_norm).  That holds for d = 1 too, where the one core is
+    the result, and for a sum that is zero, returned as tt_zero, whose
+    last core is zero.
     """
     if not delta >= 0:
         raise TTError("delta must be >= 0")
@@ -786,6 +793,12 @@ def _round_swept(lead, blocks, at, delta: float, gram: bool):
         carry = np.concatenate([u.T @ m.reshape(a * n, -1)
                                 for m in products], axis=1)
     return make_tt_vector(out)
+
+
+def tt_rounded_norm(x: TTVector) -> float:
+    """|x| of a tt_round or tt_round_sum result, whose cores 0, ..., d-2
+    have orthonormal columns: the norm of its last core, without a sweep."""
+    return float(np.linalg.norm(x.cores[-1]))
 
 
 def _core_product(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:

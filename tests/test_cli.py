@@ -108,8 +108,12 @@ def test_unknown_key_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("preset,setting,message", [
-    ("poisson_n63", "assembly_every=0", "assembly_every must be >= 1"),
+    ("poisson_n63", "assembly_every=-1", "assembly_every must be >= 0"),
     ("poisson_n63", "plateau_window=-1", "plateau_window must be >= 0"),
+    ("convdiff_n63", "plateau_window=3", "plateau_window needs "
+     "assembly_every >= 1: a plateau is read on judged rows"),
+    ("param_convdiff_n15_p5", "assembly_every=0", "bounds: on demand judges "
+     "too few iterates for the report; set assembly_every >= 1"),
     ("convdiff_n63", "q=-3", "q: must be >= 0"),
     ("convdiff_n63", "tau=-1", "tau: must be >= 0"),
     ("poisson_n63", "seed=-1", "seed: must be >= 0"),
@@ -306,12 +310,14 @@ def test_relaxed_compare_traces_match_direct_solves(tmp_path):
     problem = convection_diffusion_problem(g)
     chain = OperatorChain([problem.operator,
                            inv_laplacian_preconditioner(3, g, 2, cfg.tau)])
+    # Both solves stop on the row's plateau window.
+    solver_cfg = cfg.gmres_config(epsilon=1e-15)
+    assert solver_cfg.plateau_window == 4
     direct = _direct_traces(tmp_path / "direct", {
         "relaxed_compare_n63_constant": tt_gmres(
-            chain, problem.rhs,
-            cfg.gmres_config(epsilon=1e-15, plateau_window=4)),
+            chain, problem.rhs, solver_cfg),
         "relaxed_compare_n63_relaxed": relaxed_tt_gmres(
-            chain, problem.rhs, cfg.gmres_config(epsilon=1e-15))})
+            chain, problem.rhs, solver_cfg)})
     for name, trace in direct.items():
         assert (tmp_path / f"{name}_trace.csv").read_bytes() == trace
 
@@ -361,7 +367,8 @@ def test_json_trace_writes_nan_as_null(tmp_path):
 
 @pytest.mark.parametrize("experiment", ["eigen-rhs", "relaxed-compare"])
 def test_full_gmres_experiments_take_m_from_maxit(experiment):
-    cfg = ExperimentConfig(experiment=experiment, m=50, maxit=10)
+    cfg = ExperimentConfig(experiment=experiment, m=50, maxit=10,
+                           assembly_every=1)
     cfg.validate()
     assert cfg.gmres_config().m == 10
 

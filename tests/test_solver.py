@@ -172,9 +172,10 @@ class TestTtGmres:
         op = small_spd_op(seed=2)
         b = tt_random((8, 8), (1, 2, 1), seed=5)
         out = tt_gmres(op, b, GmresConfig(m=12, maxit=12, epsilon=1e-12,
-                                          delta=1e-14))
+                                          delta=1e-14, assembly_every=1))
+        assert not any(np.isnan(rec.true_residual) for rec in out.trace)
         for rec in out.trace:
-            if not np.isnan(rec.true_residual) and rec.true_residual > 1e-13:
+            if rec.true_residual > 1e-13:
                 assert abs(rec.lsq_residual - rec.true_residual) \
                     <= 1e-9 * max(rec.true_residual, 1e-30)
 
@@ -308,7 +309,7 @@ class TestRightGmres:
         precond = inv_laplacian_preconditioner(3, g, 2, 1e-2)
         iterates = spy_judged_iterates(monkeypatch)
         cfg = GmresConfig(m=m, maxit=60, epsilon=epsilon, delta=delta,
-                          seed=1)
+                          seed=1, assembly_every=1)
         out = tt_right_gmres(prob.operator, precond, prob.rhs, cfg)
         assert out.converged and out.meta["cycles"] == cycles
         chain = OperatorChain([prob.operator, precond])
@@ -372,7 +373,8 @@ class TestJudge:
         precond = inv_laplacian_preconditioner(3, g, 4, 1e-2)
         eps = 1e-5
         iterates = spy_judged_iterates(monkeypatch)
-        cfg = GmresConfig(m=20, maxit=20, epsilon=eps, delta=1e-6)
+        cfg = GmresConfig(m=20, maxit=20, epsilon=eps, delta=1e-6,
+                          assembly_every=1)
         out = tt_right_gmres(prob.operator, precond, prob.rhs, cfg)
         assert out.converged and len(iterates) == out.iterations
         bd = tt_to_dense(prob.rhs).ravel()
@@ -429,7 +431,7 @@ class TestJudge:
         assert out.converged and out.meta["cycles"] == 3
         assert deltas.count(None) == NORM_SAMPLES
         assert deltas.count(WORKING_PRECISION) == 2      # two restarts
-        assert deltas.count(judge_accuracy(1e-6)) == out.iterations
+        assert deltas.count(judge_accuracy(1e-6)) == len(out.judgements)
 
 
 class TestMgsSkip:
@@ -505,7 +507,7 @@ class TestMgsSkip:
         w = tt_add(p, *[tt_scale(u, t) for u, t in zip(v, targets)])
 
         gram = np.full((4, 4), np.nan)
-        w_new, c, kept = _orthogonalize(w, v, gram, stab, delta)
+        w_new, c, kept = _orthogonalize(w, tt_norm(w), v, gram, stab, delta)
 
         # <v_j, v_i> is taken only for kept j < i
         assert np.isnan(gram[np.triu_indices(4)]).all()
@@ -568,7 +570,7 @@ class TestAssembly:
         monkeypatch.setattr(solver, "tt_round_sum", spy)
         bases = spy_bases(monkeypatch)
         cfg = GmresConfig(m=20, maxit=20, epsilon=1e-6, delta=1e-5,
-                          rounding_policy=policy)
+                          rounding_policy=policy, assembly_every=1)
         out = tt_gmres(prob.operator, prob.rhs, cfg)
         [basis] = bases
         assert len(calls) == out.iterations
@@ -602,7 +604,7 @@ class TestAssembly:
 
         monkeypatch.setattr(solver, "tt_round_sum", spy)
         cfg = GmresConfig(m=3 if preconditioned else 4, maxit=40,
-                          epsilon=1e-6, delta=1e-5)
+                          epsilon=1e-6, delta=1e-5, assembly_every=1)
         out = tt_right_gmres(prob.operator, precond, prob.rhs, cfg)
         cycles = out.meta["cycles"]
         assert out.converged and cycles >= 3
@@ -645,7 +647,8 @@ class TestRelaxed:
 
     def test_stops_on_judged_eta(self):
         # the relaxed policy stops where the constant one does: at the
-        # first assembled iterate judged below epsilon - tau
+        # first assembled iterate judged below epsilon - tau; the rows
+        # left unjudged carry NaN
         op = small_spd_op(seed=33)
         b = tt_random((8, 8), (1, 2, 1), seed=34)
         cfg = GmresConfig(m=30, maxit=30, epsilon=1e-6, delta=1e-8)
@@ -653,7 +656,8 @@ class TestRelaxed:
         threshold = cfg.epsilon - judge_accuracy(cfg.epsilon)
         assert out.converged
         assert out.trace[-1].eta_Ab < threshold
-        assert all(r.eta_Ab >= threshold for r in out.trace[:-1])
+        assert all(r.eta_Ab >= threshold or math.isnan(r.eta_Ab)
+                   for r in out.trace[:-1])
 
 
 #: the problem of the dense-oracle grid below
@@ -742,3 +746,97 @@ class TestConfigValidation:
     def test_bad_policy(self):
         with pytest.raises(ValueError):
             GmresConfig(rounding_policy="sometimes")
+
+
+def _judged_rows(out):
+    """{trace iteration: (eta_b, eta_AMb or eta_Ab)} of the judged rows."""
+    return {r.k: (r.eta_b, r.eta_Ab if math.isnan(r.eta_AMb) else r.eta_AMb)
+            for r in out.trace if not math.isnan(r.eta_b)}
+
+
+class TestOnDemand:
+    """assembly_every = 0 judges a row only where the free least-squares
+    predictor says that it may end the solve."""
+
+    @pytest.mark.parametrize("restart", [None, 4], ids=["full", "m4"])
+    @pytest.mark.parametrize("policy", ["constant", "relaxed"])
+    @pytest.mark.parametrize("q", [0, 2], ids=["plain", "preconditioned"])
+    def test_matches_every_step(self, q, policy, restart):
+        # Same iterations, verdict and solution cores as a judge at every
+        # step, the same eta on every row both judged, and no more rows.
+        g = Grid1D(7, -1.0, 1.0)
+        precond = inv_laplacian_preconditioner(3, g, q, 1e-2) if q else None
+        outs = []
+        for every in (1, 0):
+            cfg = GmresConfig(m=restart or 80, maxit=80, epsilon=1e-6,
+                              delta=1e-8, rounding_policy=policy,
+                              assembly_every=every)
+            outs.append(tt_right_gmres(CONVDIFF_7.operator, precond,
+                                       CONVDIFF_7.rhs, cfg))
+        every, on_demand = outs
+        assert every.converged and on_demand.converged
+        assert on_demand.iterations == every.iterations
+        assert on_demand.meta == every.meta
+        for a, b in zip(on_demand.solution.cores, every.solution.cores):
+            np.testing.assert_array_equal(a, b)
+        judged, all_rows = _judged_rows(on_demand), _judged_rows(every)
+        assert len(all_rows) == every.iterations
+        assert len(judged) < len(all_rows)
+        assert judged.keys() <= all_rows.keys()
+        for k, eta in judged.items():
+            assert eta == all_rows[k]
+        assert len(on_demand.judgements) == len(judged)
+
+    @pytest.mark.parametrize("q", [0, 2], ids=["plain", "preconditioned"])
+    def test_never_converges_above_epsilon(self, monkeypatch, q):
+        # At delta = 1e-4 the least-squares residual falls below the true
+        # one, so the predictor errs low.  With epsilon just below the
+        # dense eta of the iterate judged at such a row k, the on-demand
+        # solve does not stop at row k, and an iterate it stops on has a
+        # dense eta below epsilon.  The chain A M is passed as the operator,
+        # so the judged iterates are in the variable it acts on.
+        g = Grid1D(7, -1.0, 1.0)
+        factors = [CONVDIFF_7.operator]
+        if q:
+            factors.append(inv_laplacian_preconditioner(3, g, q, 1e-2))
+        chain = OperatorChain(factors)
+        a = tt_op_to_dense(factors[0])
+        for f in factors[1:]:
+            a = a @ tt_op_to_dense(f)
+        bd = tt_to_dense(CONVDIFF_7.rhs).ravel()
+        iterates = spy_judged_iterates(monkeypatch)
+
+        def solve(eps, every):
+            iterates.clear()
+            cfg = GmresConfig(m=40, maxit=40, epsilon=eps, delta=1e-4,
+                              assembly_every=every)
+            return tt_right_gmres(chain, None, CONVDIFF_7.rhs, cfg)
+
+        def dense_eta(x, opnorm):
+            xd = tt_to_dense(x).ravel()
+            return np.linalg.norm(bd - a @ xd) / (
+                opnorm * np.linalg.norm(xd) + np.linalg.norm(bd))
+
+        every = solve(1e-12, 1)
+        parted = [(rec.k, dense_eta(x, every.estimated_opnorm))
+                  for rec, x in zip(every.trace, iterates)
+                  if rec.lsq_residual < 0.9 * rec.true_residual]
+        assert len(parted) >= 3
+        for k, eta in parted[:3]:
+            eps = eta * (1.0 - JUDGE_ACCURACY / 2)
+            out = solve(eps, 0)
+            assert out.iterations > k
+            if out.converged:
+                assert dense_eta(iterates[-1], out.estimated_opnorm) < eps
+
+    def test_three_step_solve_is_judged_once(self, monkeypatch):
+        g = Grid1D(7, -1.0, 1.0)
+        precond = inv_laplacian_preconditioner(3, g, 4, 1e-2)
+        iterates = spy_judged_iterates(monkeypatch)
+        cfg = GmresConfig(m=40, maxit=40, epsilon=1e-3, delta=1e-5)
+        out = tt_right_gmres(CONVDIFF_7.operator, precond, CONVDIFF_7.rhs,
+                             cfg)
+        assert out.converged and out.iterations == 3
+        assert len(iterates) == len(out.judgements) == 1
+        assert [math.isnan(r.eta_AMb) for r in out.trace] == \
+            [True, True, False]

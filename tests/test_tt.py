@@ -31,6 +31,7 @@ from ttkrylov import (
     tt_rank_one,
     tt_round,
     tt_round_sum,
+    tt_rounded_norm,
     tt_scale,
     tt_slice_first_mode,
     tt_to_dense,
@@ -544,6 +545,23 @@ class TestRoundSum:
             for t, c in zip(terms, coeffs))
         assert np.linalg.norm(tt_to_dense(z) - tt_to_dense(ref)) <= slack
         assert np.linalg.norm(tt_to_dense(z) - exact) <= delta * nrm + slack
+
+    @settings(max_examples=100, deadline=None)
+    @given(scaled_terms(), st.sampled_from([0.0, 1e-4, 0.3]))
+    @example(([rand_vec((6,), (1, 1), seed=5)] * 3, np.array([1.0, 2.0, 0.5])),
+             1e-4)
+    @example(([rand_vec((6,), (1, 1), seed=5)] * 2, np.array([1.0, -1.0])),
+             0.0)
+    @example(([rand_vec((3, 4, 2), (1, 2, 3, 1), seed=6)], np.array([0.0])),
+             0.0)
+    @example(([rand_vec((2000, 3), (1, 2, 1), seed=7)], np.array([1.0])),
+             1e-3)
+    def test_norm_is_the_last_cores(self, case, delta):
+        # Cores 0, ..., d-2 of a rounded sum have orthonormal columns (the
+        # d = 1, zero-sum and tall Gram-factor cases included), so its
+        # norm is its last core's.
+        z = tt_round_sum(*case, delta)
+        assert abs(tt_rounded_norm(z) - tt_norm(z)) <= 1e-14 * tt_norm(z)
 
     @settings(max_examples=100, deadline=None)
     @given(scaled_terms())
