@@ -114,10 +114,8 @@ class ExperimentConfig:
     format: str = "csv"
     j: int = 10                # eigen-rhs: eigenvector count of the slow rhs
     rank_cap: int = 8          # multi-rhs perturbation rank cap
-    bounds: bool = False       # evaluate the per-slice bound report
-    assembly_every: int = 0    # judge every c steps; 0: on demand
-    plateau_window: int = 0    # 0: the row's own window (none but in
-    #                            relaxed-compare); needs assembly_every >= 1
+    bounds: bool = False       # evaluate the per-slice bound report,
+    #                            which judges every step
 
     def validate(self) -> list[str]:
         """Raise ConfigError on invalid fields, return warnings."""
@@ -137,11 +135,6 @@ class ExperimentConfig:
         if self.bounds and not spec.stacked:
             raise ConfigError(
                 f"bounds: experiment {self.experiment} stacks no systems")
-        # On demand judges only the rows the predictor picks, often one to
-        # three per solve, too few for the report to trace the bounds.
-        if self.bounds and not self.assembly_every:
-            raise ConfigError("bounds: on demand judges too few iterates for "
-                              "the report; set assembly_every >= 1")
         if self.experiment == "eigen-rhs" and not 1 <= self.j <= self.n - 1:
             raise ConfigError("j: must lie in 1..n-1 for eigen-rhs")
         if self.q < 0:
@@ -179,20 +172,20 @@ class ExperimentConfig:
         if not self.precondition:
             unread |= {"q", "tau"}
         if spec.run is not None:              # solves nothing
-            unread |= {"m", "epsilon", "delta", "maxit", "assembly_every",
-                       "plateau_window", "precondition", "q", "tau"}
+            unread |= {"m", "epsilon", "delta", "maxit", "precondition", "q",
+                       "tau"}
         return unread
 
     def gmres_config(self, **overrides) -> GmresConfig:
         """Solver settings of the run; a full-GMRES experiment restarts
-        only after maxit iterations (m = maxit), and a plateau_window of 0
-        takes the row's own."""
+        only after maxit iterations (m = maxit), the bound report has every
+        step judged, and the row sets the plateau window."""
         spec = EXPERIMENTS[self.experiment]
         m = self.maxit if spec.full else self.m
         base = dict(m=m, epsilon=self.epsilon, delta=self.delta,
                     maxit=self.maxit, seed=self.seed,
-                    assembly_every=self.assembly_every,
-                    plateau_window=self.plateau_window or spec.plateau_window)
+                    judge_every_step=self.bounds,
+                    plateau_window=spec.plateau_window)
         base.update(overrides)
         try:
             return GmresConfig(**base)
@@ -481,7 +474,7 @@ class _Experiment(NamedTuple):
     full: bool = False                 # solves with full GMRES: m = maxit
     judged: bool = True                # the exit code reports convergence
     reads: tuple[str, ...] = ()        # row-specific keys: j, rank_cap
-    plateau_window: int = 0            # the window when the config sets 0
+    plateau_window: int = 0            # judged rows a plateau is read on
 
 
 _UNIT = (0.0, 1.0)

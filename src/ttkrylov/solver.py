@@ -21,23 +21,23 @@ Rounding the sum keeps A M from being applied at rank r_u + r_t.  The
 outcome keeps every judgement, with its slice norms, for the bound report
 to read.
 
-Which rows are judged is set by assembly_every.  At c >= 1 the iterate is
-assembled and judged every c steps.  At 0, the default, it is judged on
-demand: only where the free predictor
-eta^_k = |r~_k| / (|A| (|u| + |y_k|) + |b|) is at most PREDICTOR_MARGIN
-epsilon, where r~_k is the least-squares residual and y_k the
-least-squares solution of the step.  |r~_k| is the true residual norm in
-exact arithmetic (Saad & Schultz, SISC 1986); in finite precision the two
-part (Greenbaum, Rozloznik & Strakos, BIT 1997), which is why the judge
-still decides.  As |u| + |y_k| >= |u + V y_k| up to the basis' loss of
-orthogonality, the denominator can only make eta^ err low.  The numerator
-|r~_k| can exceed the true residual, and the margin of 2 lets it be up to
-twice the true one before a row that could end the solve goes unjudged;
-such a miss costs iterations, up to the cycle's last step, never a wrong
-verdict.
-Either way a breakdown and a cycle's last step, whose update the restart
-needs, are always judged, and a row that is not carries NaN in its eta,
-true residual and iterate rank.
+Which rows are judged follows one rule.  Every row is judged when the
+caller reads every judgement (judge_every_step, which the per-slice bound
+report sets) or when a plateau window is set, since a plateau is read on
+consecutive judged rows.  Otherwise a row is judged on demand: only where
+the free predictor eta^_k = |r~_k| / (|A| (|u| + |y_k|) + |b|) is at most
+PREDICTOR_MARGIN epsilon, where r~_k is the least-squares residual and y_k
+the least-squares solution of the step.  |r~_k| is the true residual norm
+in exact arithmetic (Saad & Schultz, SISC 1986); in finite precision the
+two part (Greenbaum, Rozloznik & Strakos, BIT 1997), which is why the
+judge still decides.  As |u| + |y_k| >= |u + V y_k| up to the basis' loss
+of orthogonality, the denominator can only make eta^ err low.  The
+numerator |r~_k| can exceed the true residual, and the margin of 2 lets it
+be up to twice the true one before a row that could end the solve goes
+unjudged; such a miss costs iterations, up to the cycle's last step, never
+a wrong verdict.  Either way a breakdown and a cycle's last step, whose
+update the restart needs, are always judged, and a row that is not carries
+NaN in its eta, true residual and iterate rank.
 
 The judge works at the precision its verdict needs,
 tau = max(WORKING_PRECISION, JUDGE_ACCURACY * epsilon).  It rounds M x at
@@ -134,9 +134,9 @@ BREAKDOWN_TOL = 1e-14
 #: a plateau is a window whose best value the latest one fails to beat by
 #: this relative margin
 PLATEAU_RTOL = 0.05
-#: on demand (assembly_every = 0), a row is judged when the free predictor
-#: of its eta is at most this many times epsilon: a least-squares residual
-#: up to this many times the true one still calls the judge in time
+#: on demand, a row is judged when the free predictor of its eta is at most
+#: this many times epsilon: a least-squares residual up to this many times
+#: the true one still calls the judge in time
 PREDICTOR_MARGIN = 2.0
 
 
@@ -151,12 +151,12 @@ class GmresConfig:
     maxit: int = 100                  # global iteration cap
     rounding_policy: str = "constant"   # constant | relaxed
     seed: int = 0                     # first sample of the norm estimate
-    assembly_every: int = 0           # judge the iterate every c steps;
-    #                                   0: on demand, where the free
-    #                                   predictor says it can stop
+    judge_every_step: bool = False    # judge every row, for a caller that
+    #                                   reads every judgement; otherwise
+    #                                   on demand, where the free predictor
+    #                                   says the row can end the solve
     plateau_window: int = 0           # 0 disables plateau detection; a
-    #                                   plateau is read on judged rows, so
-    #                                   it needs assembly_every >= 1
+    #                                   window judges every row
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
@@ -167,13 +167,8 @@ class GmresConfig:
             raise ValueError("m must be >= 1")
         if self.maxit < self.m:
             raise ValueError("maxit must be >= m")
-        if self.assembly_every < 0:
-            raise ValueError("assembly_every must be >= 0")
         if self.plateau_window < 0:
             raise ValueError("plateau_window must be >= 0")
-        if self.plateau_window and not self.assembly_every:
-            raise ValueError("plateau_window needs assembly_every >= 1: a "
-                             "plateau is read on judged rows")
         if self.rounding_policy not in ("constant", "relaxed"):
             raise ValueError(f"unknown rounding policy {self.rounding_policy}")
 
@@ -432,13 +427,14 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
     assembled iterate round(u + t, tau), tau = judge_accuracy(epsilon).
     u, when given, is a tt_round_sum result, so |u| is its last core's
     norm.  Step k is assembled at a breakdown, at the cycle's last step,
-    and every cfg.assembly_every steps, or, at 0, where the predictor
-    |r~_k| / (|A| (|u| + |y_k|) + |b|) is at most PREDICTOR_MARGIN
-    epsilon; only an assembled step is judged, and only a judged eta
-    below epsilon - tau converges.  Returns (t, stop): t is the
-    least-squares update of the last iteration, assembled at delta, as a
-    cycle ends only on an assembled iteration, and stop is None
-    (restart), "converged", "plateaued" or "stagnated".
+    at every step under cfg.judge_every_step or a plateau window, and
+    otherwise where the predictor |r~_k| / (|A| (|u| + |y_k|) + |b|) is at
+    most PREDICTOR_MARGIN epsilon; only an assembled step is judged, and
+    only a judged eta below epsilon - tau converges.  Returns (t, stop): t
+    is the least-squares update, assembled at delta, of the last iteration
+    (a cycle ends only on an assembled one) or, at a plateau, of the
+    window's best judged row; stop is None (restart), "converged",
+    "plateaued" or "stagnated".
 
     After step k, one QR of the leading k columns of the kept Hessenberg
     matrix (hessenberg_lsq) gives y, the residual and R's last diagonal
@@ -462,7 +458,8 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
     gram = np.full((cycle_len + 1, cycle_len + 1), np.nan)
     hbar = np.zeros((cycle_len + 1, cycle_len))
     lsq_residual = r_norm
-    eta_hist = []
+    judge_all = cfg.judge_every_step or cfg.plateau_window > 0
+    window = []                       # (eta, t) of the latest judged rows
     stop = None
 
     for k in range(1, cycle_len + 1):
@@ -493,10 +490,8 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
             y, lsq_residual, _ = hessenberg_lsq(hbar[:k, :k - 1], r_norm)
         out.iterations += 1
 
-        if breakdown or k == cycle_len:
+        if breakdown or k == cycle_len or judge_all:
             assemble = True
-        elif cfg.assembly_every:
-            assemble = k % cfg.assembly_every == 0
         else:
             # eta^_k <= PREDICTOR_MARGIN epsilon, without the division
             assemble = lsq_residual <= PREDICTOR_MARGIN * cfg.epsilon * (
@@ -527,20 +522,21 @@ def _gmres_cycle(chain: OperatorChain, b: TTVector, beta: float,
 
         # Both policies stop on eta_Ab, judged at tau, with a margin of tau
         # below epsilon.
-        if assemble:
-            eta_hist.append(eta.eta_Ab)
-            if eta.eta_Ab < cfg.epsilon - tau:
-                stop = "converged"
-                break
+        if assemble and eta.eta_Ab < cfg.epsilon - tau:
+            stop = "converged"
+            break
         if breakdown:
             stop = "stagnated" if hard else None
             break
-        if assemble and cfg.plateau_window \
-                and len(eta_hist) > cfg.plateau_window:
-            window = eta_hist[-(cfg.plateau_window + 1):]
-            best_prev, latest = min(window[:-1]), window[-1]
-            if latest <= 100 * cfg.delta and \
-                    latest > best_prev * (1.0 - PLATEAU_RTOL):
+        # A plateau ends the solve on the window's best iterate, which this
+        # cycle still holds.
+        if assemble and cfg.plateau_window:
+            window = (window + [(eta.eta_Ab, t)])[-(cfg.plateau_window + 1):]
+            etas = [e for e, _ in window]
+            latest = etas[-1]
+            if len(etas) > cfg.plateau_window and latest <= 100 * cfg.delta \
+                    and latest > min(etas[:-1]) * (1.0 - PLATEAU_RTOL):
+                t = window[etas.index(min(etas))][1]
                 stop = "plateaued"
                 break
 
@@ -585,10 +581,12 @@ def tt_right_gmres(a, m: TTOperator | None, b: TTVector,
     eta is the backward error of the assembled iterate
     x = round(u + t, tau) on the whole system A M x = b, judged at
     tau = judge_accuracy(epsilon); either policy converges when it falls
-    below epsilon - tau.  Rows are judged every cfg.assembly_every steps,
-    or, at 0, on demand, where the free least-squares predictor says the
-    row may converge (see _gmres_cycle); the other rows hold NaN eta.  The
-    restart residual forms A M u with M u rounded at WORKING_PRECISION.
+    below epsilon - tau.  Every row is judged under cfg.judge_every_step
+    or a plateau window, and otherwise only where the free least-squares
+    predictor says the row may converge (see _gmres_cycle); the other rows
+    hold NaN eta.  A plateau stop returns the window's best judged
+    iterate.  The restart residual forms A M u with M u rounded at
+    WORKING_PRECISION.
     Two events raise meta["stagnated"] and stop the solve unconverged: a
     cycle that fails to shrink the outer residual by 1e-14 relative, and a
     hard breakdown inside a cycle (see _gmres_cycle).  meta["plateaued"]

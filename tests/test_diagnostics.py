@@ -47,7 +47,7 @@ def solved(request):
             P, inv_laplacian_preconditioner(3, g, 2, 1e-2)))
     chain = OperatorChain(factors)
     cfg = GmresConfig(m=40, maxit=40, epsilon=1e-9, delta=1e-12,
-                      assembly_every=1)
+                      judge_every_step=True)
     with pytest.MonkeyPatch.context() as mp:
         iterates = spy_judged_iterates(mp)
         out = tt_right_gmres(prob.operator,
@@ -225,7 +225,7 @@ def test_report_judges_as_the_trace_did(preconditioned):
         P, inv_laplacian_preconditioner(3, g, 2, 1e-2)) \
         if preconditioned else None
     cfg = GmresConfig(m=40, maxit=40, epsilon=1e-6, delta=1e-8,
-                      assembly_every=1)
+                      judge_every_step=True)
     out = tt_right_gmres(prob.operator, precond, prob.rhs, cfg)
     assert out.converged
     chain = OperatorChain([prob.operator] + ([precond] if precond else []))

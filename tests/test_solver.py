@@ -172,7 +172,7 @@ class TestTtGmres:
         op = small_spd_op(seed=2)
         b = tt_random((8, 8), (1, 2, 1), seed=5)
         out = tt_gmres(op, b, GmresConfig(m=12, maxit=12, epsilon=1e-12,
-                                          delta=1e-14, assembly_every=1))
+                                          delta=1e-14, judge_every_step=True))
         assert not any(np.isnan(rec.true_residual) for rec in out.trace)
         for rec in out.trace:
             if rec.true_residual > 1e-13:
@@ -309,7 +309,7 @@ class TestRightGmres:
         precond = inv_laplacian_preconditioner(3, g, 2, 1e-2)
         iterates = spy_judged_iterates(monkeypatch)
         cfg = GmresConfig(m=m, maxit=60, epsilon=epsilon, delta=delta,
-                          seed=1, assembly_every=1)
+                          seed=1, judge_every_step=True)
         out = tt_right_gmres(prob.operator, precond, prob.rhs, cfg)
         assert out.converged and out.meta["cycles"] == cycles
         chain = OperatorChain([prob.operator, precond])
@@ -374,7 +374,7 @@ class TestJudge:
         eps = 1e-5
         iterates = spy_judged_iterates(monkeypatch)
         cfg = GmresConfig(m=20, maxit=20, epsilon=eps, delta=1e-6,
-                          assembly_every=1)
+                          judge_every_step=True)
         out = tt_right_gmres(prob.operator, precond, prob.rhs, cfg)
         assert out.converged and len(iterates) == out.iterations
         bd = tt_to_dense(prob.rhs).ravel()
@@ -570,7 +570,7 @@ class TestAssembly:
         monkeypatch.setattr(solver, "tt_round_sum", spy)
         bases = spy_bases(monkeypatch)
         cfg = GmresConfig(m=20, maxit=20, epsilon=1e-6, delta=1e-5,
-                          rounding_policy=policy, assembly_every=1)
+                          rounding_policy=policy, judge_every_step=True)
         out = tt_gmres(prob.operator, prob.rhs, cfg)
         [basis] = bases
         assert len(calls) == out.iterations
@@ -604,7 +604,7 @@ class TestAssembly:
 
         monkeypatch.setattr(solver, "tt_round_sum", spy)
         cfg = GmresConfig(m=3 if preconditioned else 4, maxit=40,
-                          epsilon=1e-6, delta=1e-5, assembly_every=1)
+                          epsilon=1e-6, delta=1e-5, judge_every_step=True)
         out = tt_right_gmres(prob.operator, precond, prob.rhs, cfg)
         cycles = out.meta["cycles"]
         assert out.converged and cycles >= 3
@@ -660,8 +660,9 @@ class TestRelaxed:
                    for r in out.trace[:-1])
 
 
-#: the problem of the dense-oracle grid below
+#: the problems of the dense-oracle grid below
 CONVDIFF_7 = convection_diffusion_problem(Grid1D(7, -1.0, 1.0))
+POISSON_7 = poisson_problem(Grid1D(7))
 
 
 def _dense_power_norm(a, steps=100):
@@ -747,6 +748,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GmresConfig(rounding_policy="sometimes")
 
+    def test_bad_plateau_window(self):
+        with pytest.raises(ValueError, match="plateau_window must be >= 0"):
+            GmresConfig(plateau_window=-1)
+
 
 def _judged_rows(out):
     """{trace iteration: (eta_b, eta_AMb or eta_Ab)} of the judged rows."""
@@ -755,24 +760,28 @@ def _judged_rows(out):
 
 
 class TestOnDemand:
-    """assembly_every = 0 judges a row only where the free least-squares
-    predictor says that it may end the solve."""
+    """Without judge_every_step or a plateau window, a row is judged only
+    where the free least-squares predictor says that it may end the
+    solve."""
 
     @pytest.mark.parametrize("restart", [None, 4], ids=["full", "m4"])
     @pytest.mark.parametrize("policy", ["constant", "relaxed"])
-    @pytest.mark.parametrize("q", [0, 2], ids=["plain", "preconditioned"])
-    def test_matches_every_step(self, q, policy, restart):
+    @pytest.mark.parametrize("problem, q", [
+        (CONVDIFF_7, 0), (CONVDIFF_7, 2), (POISSON_7, 0)],
+        ids=["plain", "preconditioned", "poisson"])
+    def test_matches_every_step(self, problem, q, policy, restart):
         # Same iterations, verdict and solution cores as a judge at every
         # step, the same eta on every row both judged, and no more rows.
+        # Poisson is symmetric, so MGS leaves most of its terms out.
         g = Grid1D(7, -1.0, 1.0)
         precond = inv_laplacian_preconditioner(3, g, q, 1e-2) if q else None
         outs = []
-        for every in (1, 0):
+        for every in (True, False):
             cfg = GmresConfig(m=restart or 80, maxit=80, epsilon=1e-6,
                               delta=1e-8, rounding_policy=policy,
-                              assembly_every=every)
-            outs.append(tt_right_gmres(CONVDIFF_7.operator, precond,
-                                       CONVDIFF_7.rhs, cfg))
+                              judge_every_step=every)
+            outs.append(tt_right_gmres(problem.operator, precond,
+                                       problem.rhs, cfg))
         every, on_demand = outs
         assert every.converged and on_demand.converged
         assert on_demand.iterations == every.iterations
@@ -809,7 +818,7 @@ class TestOnDemand:
         def solve(eps, every):
             iterates.clear()
             cfg = GmresConfig(m=40, maxit=40, epsilon=eps, delta=1e-4,
-                              assembly_every=every)
+                              judge_every_step=every)
             return tt_right_gmres(chain, None, CONVDIFF_7.rhs, cfg)
 
         def dense_eta(x, opnorm):
@@ -817,14 +826,14 @@ class TestOnDemand:
             return np.linalg.norm(bd - a @ xd) / (
                 opnorm * np.linalg.norm(xd) + np.linalg.norm(bd))
 
-        every = solve(1e-12, 1)
+        every = solve(1e-12, True)
         parted = [(rec.k, dense_eta(x, every.estimated_opnorm))
                   for rec, x in zip(every.trace, iterates)
                   if rec.lsq_residual < 0.9 * rec.true_residual]
         assert len(parted) >= 3
         for k, eta in parted[:3]:
             eps = eta * (1.0 - JUDGE_ACCURACY / 2)
-            out = solve(eps, 0)
+            out = solve(eps, False)
             assert out.iterations > k
             if out.converged:
                 assert dense_eta(iterates[-1], out.estimated_opnorm) < eps
@@ -840,3 +849,28 @@ class TestOnDemand:
         assert len(iterates) == len(out.judgements) == 1
         assert [math.isnan(r.eta_AMb) for r in out.trace] == \
             [True, True, False]
+
+
+class TestPlateau:
+    def test_returns_the_windows_best_iterate(self):
+        # Relaxed conv-diff stops on a plateau whose latest judged eta is
+        # above the window's best; the solve returns the best one.  The
+        # chain A M is passed as the operator, so the solution is in the
+        # variable judged.
+        g = Grid1D(7, -1.0, 1.0)
+        chain = OperatorChain([CONVDIFF_7.operator,
+                               inv_laplacian_preconditioner(3, g, 2, 1e-2)])
+        cfg = GmresConfig(m=40, maxit=40, epsilon=1e-15, delta=1e-5,
+                          plateau_window=4)
+        out = relaxed_tt_gmres(chain, CONVDIFF_7.rhs, cfg)
+        assert out.meta["plateaued"] and not out.converged
+        etas = [r.eta_AMb for r in out.trace]
+        assert not any(math.isnan(e) for e in etas)
+        best, latest = min(etas[-5:]), etas[-1]
+        assert best < latest
+        eta = backward_errors(chain, out.solution, CONVDIFF_7.rhs,
+                              out.estimated_opnorm).eta_Ab
+        # Below the latest row's eta, nearer the best than the latest, and
+        # within delta of the best.
+        assert latest - eta > (latest - best) / 2
+        assert abs(eta - best) <= cfg.delta
