@@ -239,9 +239,42 @@ def _convdiff_rhs(g: Grid1D, alpha: float = 1.0) -> TTVector:
     return tt_add(lap_part, conv_part)
 
 
+def _merge_equal_slices(op: TTOperator) -> TTOperator:
+    """The same operator with equal left-bond slices of each core merged.
+
+    Where slices i and j of core k along its left bond are equal, the
+    terms ``G_{k-1}[.., i] G_k[i] + G_{k-1}[.., j] G_k[j]`` are the one term
+    ``(G_{k-1}[.., i] + G_{k-1}[.., j]) G_k[i]``: slice j of core k goes and
+    column i of core k - 1 takes the sum.  Bonds are walked from right to
+    left, as a merge changes the slices of core k - 1.  After tt_add the
+    summed columns are disjoint blocks, so the sums add only zeros and the
+    operator is bitwise the same, without the rank that tt_add stacked on
+    a bond for equal factors (the identities of a Kronecker sum).
+    """
+    cores = list(op.cores)
+    for k in range(len(cores) - 1, 0, -1):
+        core = cores[k]
+        first = {}                  # slice bytes -> index of its kept copy
+        owner = [first.setdefault(c.tobytes(), len(first)) for c in core]
+        if len(first) == len(core):
+            continue
+        prev = np.zeros(cores[k - 1].shape[:-1] + (len(first),))
+        for i, o in enumerate(owner):
+            prev[..., o] += cores[k - 1][..., i]
+        keep = [owner.index(o) for o in range(len(first))]
+        cores[k - 1], cores[k] = prev, core[keep]
+    return make_tt_operator(cores)
+
+
 def convection_diffusion_problem(g: Grid1D) -> ProblemInstance:
-    """3-d convection-diffusion on [-1, 1]^3 with u = 1 on the y = 1 face."""
-    op = tt_add(tt_laplacian(3, g, negate=True), _convdiff_terms(g))
+    """3-d convection-diffusion on [-1, 1]^3 with u = 1 on the y = 1 face.
+
+    The operator -Lap + convection has TT ranks (1, 4, 2, 1), which are
+    exact: tt_add stacks the three identity factors of the last mode
+    (ranks (1, 4, 4, 1)), and the exact merge of equal slices keeps one.
+    """
+    op = _merge_equal_slices(
+        tt_add(tt_laplacian(3, g, negate=True), _convdiff_terms(g)))
     return ProblemInstance(operator=op, rhs=_convdiff_rhs(g))
 
 
@@ -362,11 +395,14 @@ def parametric_convection_diffusion_problem(
 
     Slice l solves ``-alpha_l Lap u + convection = lifted boundary datum``;
     each rhs slice is normalized to unit norm so the stacked rhs has norm
-    sqrt(p).
+    sqrt(p).  The operator ``I_p x conv + diag(alpha) x (-Lap)`` has TT
+    ranks (1, 2, 4, 2, 1), which are exact: all_in_one_operator's sum
+    stacks three identity factors on the last mode (ranks (1, 2, 4, 4, 1)),
+    and the exact merge of equal slices keeps one.
     """
     neg_lap = tt_laplacian(3, g, negate=True)
     conv = _convdiff_terms(g)
-    op = all_in_one_operator(conv, neg_lap, params)
+    op = _merge_equal_slices(all_in_one_operator(conv, neg_lap, params))
     parts = []
     for alpha in params.values:
         c = _convdiff_rhs(g, alpha=alpha)

@@ -6,7 +6,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from ttkrylov import TTVector, cli
+from ttkrylov import TTVector, cli, tt_round
 from ttkrylov.cli import (EXPERIMENTS, TRACE_COLUMNS, ConfigError,
                           ExperimentConfig, build_config, emit_trace, main,
                           parse_config_text, presets_dir)
@@ -168,6 +168,22 @@ def test_presets_validate(preset):
     cfg = load_preset(preset)
     assert cfg.experiment in EXPERIMENTS
     assert cfg.validate() == []
+
+
+@pytest.mark.parametrize("preset", [
+    p for p in PRESETS if EXPERIMENTS[load_preset(p).experiment].build])
+def test_preset_operators_are_at_exact_ranks(preset):
+    # The operator's ranks multiply those of every product A x and the cost
+    # of the roundings and norms after it, so a rank that rounding at
+    # working precision drops is waste in every step of the solve.
+    cfg = dataclasses.replace(load_preset(preset), n=5, p=3, j=2)
+    spec = EXPERIMENTS[cfg.experiment]
+    g = Grid1D(cfg.n, *spec.interval)
+    ops = [op for _, op, _, _ in spec.build(cfg, g)]
+    if cfg.precondition:
+        ops.append(cli._preconditioner(cfg, g))
+    for op in ops:
+        assert tt_round(op, 1e-14).ranks == op.ranks
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ttkrylov import (
+    make_tt_operator,
     make_tt_vector,
     tt_add,
     tt_apply,
@@ -16,6 +17,8 @@ from ttkrylov.operators import (
     Grid1D,
     GridOnInterfaceError,
     ParamSet,
+    _convdiff_terms,
+    _merge_equal_slices,
     all_in_one_operator,
     all_in_one_rhs,
     convection_diffusion_problem,
@@ -33,6 +36,7 @@ from ttkrylov.operators import (
     poisson_problem,
     tt_laplacian,
 )
+from ttkrylov.solver import OperatorChain, estimate_l2_norm
 from ttkrylov.tt import tt_random, tt_rank_one
 
 from oracles import fused_mode_preconditioner, kron_chain, kron_sum
@@ -413,6 +417,65 @@ class TestParametricProblems:
         r4 = multi_rhs_problem(base, p=4, rank_cap=3, seed=0).rhs.ranks[2]
         r8 = multi_rhs_problem(base, p=8, rank_cap=3, seed=0).rhs.ranks[2]
         assert r4 == r8
+
+
+
+class TestMergeEqualSlices:
+    """The exact merge of equal left-bond slices in the conv-diff builders."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_convdiff_bitwise_at_exact_ranks(self, n):
+        g = Grid1D(n, -1.0, 1.0)
+        summed = tt_add(tt_laplacian(3, g, negate=True), _convdiff_terms(g))
+        op = convection_diffusion_problem(g).operator
+        assert summed.ranks == (1, 4, 4, 1)
+        assert op.ranks == (1, 4, 2, 1)
+        np.testing.assert_array_equal(tt_op_to_dense(op),
+                                      tt_op_to_dense(summed))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_param_convdiff_bitwise_at_exact_ranks(self, n):
+        g = Grid1D(n, -1.0, 1.0)
+        params = ParamSet.log_spaced(3)
+        summed = all_in_one_operator(_convdiff_terms(g),
+                                     tt_laplacian(3, g, negate=True), params)
+        op = parametric_convection_diffusion_problem(g, params).operator
+        assert summed.ranks == (1, 2, 4, 4, 1)
+        assert op.ranks == (1, 2, 4, 2, 1)
+        np.testing.assert_array_equal(tt_op_to_dense(op),
+                                      tt_op_to_dense(summed))
+
+    def test_no_equal_slices_keeps_the_cores(self):
+        op = make_tt_operator([rng.standard_normal((1, 3, 2, 2)),
+                               rng.standard_normal((2, 3, 3, 3)),
+                               rng.standard_normal((3, 2, 3, 1))])
+        merged = _merge_equal_slices(op)
+        assert merged.ranks == op.ranks
+        for a, b in zip(merged.cores, op.cores):
+            np.testing.assert_array_equal(a, b)
+
+    def test_overlapping_partners_sum_at_round_off(self):
+        # Both columns of the middle core are full, so the merge adds
+        # nonzero entries: exact in arithmetic, rounded once per entry.
+        # Positive entries keep the sums free of cancellation.
+        last = rng.uniform(0.5, 1.0, (1, 3, 3, 1))
+        op = make_tt_operator([rng.uniform(0.5, 1.0, (1, 3, 3, 2)),
+                               rng.uniform(0.5, 1.0, (2, 3, 3, 2)),
+                               np.concatenate([last, last])])
+        merged = _merge_equal_slices(op)
+        assert merged.ranks == (1, 2, 1, 1)
+        ref = tt_op_to_dense(op)
+        err = np.linalg.norm(tt_op_to_dense(merged) - ref)
+        assert err <= 4 * np.finfo(float).eps * np.linalg.norm(ref)
+
+    def test_norm_estimate_unchanged(self):
+        g = Grid1D(7, -1.0, 1.0)
+        summed = tt_add(tt_laplacian(3, g, negate=True), _convdiff_terms(g))
+        op = convection_diffusion_problem(g).operator
+        m = inv_laplacian_preconditioner(3, g, 2, 1e-2)
+        ref = estimate_l2_norm(OperatorChain([summed, m]), seed=3)
+        got = estimate_l2_norm(OperatorChain([op, m]), seed=3)
+        assert abs(got - ref) <= 1e-12 * ref
 
 
 class TestEigenRhs:
