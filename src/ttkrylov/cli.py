@@ -36,7 +36,6 @@ from .operators import (
     ParamSet,
     all_in_one_rhs,
     convection_diffusion_problem,
-    default_addend_count,
     heat_parametrized_problem,
     inv_laplacian_preconditioner,
     kron_leading_identity,
@@ -106,16 +105,12 @@ class ExperimentConfig:
     epsilon: float = 1e-5
     delta: float = 1e-5
     maxit: int = 100
-    q: int = 0                 # 0: default round(n / 4) when preconditioned
-    tau: float = 1e-2
-    precondition: bool = False
+    q: int = 0                 # preconditioner addends; 0: no preconditioner
     seed: int = 0
     output: str = "run"
     format: str = "csv"
     j: int = 10                # eigen-rhs: eigenvector count of the slow rhs
-    rank_cap: int = 8          # multi-rhs perturbation rank cap
-    bounds: bool = False       # evaluate the per-slice bound report,
-    #                            which judges every step
+    bounds: bool = False       # per-slice bound report; judges every step
 
     def validate(self) -> list[str]:
         """Raise ConfigError on invalid fields, return warnings."""
@@ -139,12 +134,8 @@ class ExperimentConfig:
             raise ConfigError("j: must lie in 1..n-1 for eigen-rhs")
         if self.q < 0:
             raise ConfigError("q: must be >= 0")
-        if not self.tau >= 0:
-            raise ConfigError("tau: must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
-        if self.rank_cap < 1:
-            raise ConfigError("rank_cap: must be >= 1")
         if self.format not in ("csv", "json"):
             raise ConfigError("format: must be csv or json")
         # Solver fields are checked here, before any operator is built; a
@@ -164,28 +155,24 @@ class ExperimentConfig:
 
     def _unread_keys(self, spec) -> set[str]:
         """Keys that the run of this experiment never reads."""
-        unread = {"j", "rank_cap"} - set(spec.reads)
+        unread = {"j"} - set(spec.reads)
         if not spec.stacked:
             unread.add("p")
         if spec.full:
             unread.add("m")
-        if not self.precondition:
-            unread |= {"q", "tau"}
         if spec.run is not None:              # solves nothing
-            unread |= {"m", "epsilon", "delta", "maxit", "precondition", "q",
-                       "tau"}
+            unread |= {"m", "epsilon", "delta", "maxit", "q"}
         return unread
 
     def gmres_config(self, **overrides) -> GmresConfig:
         """Solver settings of the run; a full-GMRES experiment restarts
-        only after maxit iterations (m = maxit), the bound report has every
-        step judged, and the row sets the plateau window."""
+        only after maxit iterations (m = maxit) and the bound report has
+        every step judged."""
         spec = EXPERIMENTS[self.experiment]
         m = self.maxit if spec.full else self.m
         base = dict(m=m, epsilon=self.epsilon, delta=self.delta,
                     maxit=self.maxit, seed=self.seed,
-                    judge_every_step=self.bounds,
-                    plateau_window=spec.plateau_window)
+                    judge_every_step=self.bounds)
         base.update(overrides)
         try:
             return GmresConfig(**base)
@@ -310,12 +297,15 @@ def _phase(phases: dict, name: str):
     phases[name] = phases.get(name, 0.0) + time.time() - t0
 
 
+PRECOND_TAU = 1e-2      # rounding accuracy of the preconditioner's sum
+RANK_CAP = 8            # rank cap of the multi-rhs perturbations
+
+
 def _preconditioner(cfg: ExperimentConfig, g: Grid1D):
-    """The 3-d inverse-Laplacian preconditioner, or None."""
-    if not cfg.precondition:
+    """The 3-d inverse-Laplacian preconditioner of q addends; None if q = 0."""
+    if cfg.q == 0:
         return None
-    q = cfg.q if cfg.q > 0 else default_addend_count(cfg.n)
-    return inv_laplacian_preconditioner(3, g, q, cfg.tau)
+    return inv_laplacian_preconditioner(3, g, cfg.q, PRECOND_TAU)
 
 
 #: environment variables that set the BLAS thread count
@@ -323,15 +313,27 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 
 
+def _git_commit() -> str | None:
+    """HEAD of the code's git checkout; None outside one or without git."""
+    import subprocess        # here, so that a run's start-up never pays it
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
+                             cwd=Path(__file__).parent, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
 def _environment() -> dict:
-    """The numpy version, the BLAS numpy was built against and the BLAS
-    thread variables (None where unset)."""
+    """The numpy version, the BLAS numpy was built against, the BLAS
+    thread variables (None where unset) and the git commit."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}) \
         .get("blas", {})
     return {"numpy": np.__version__,
             "blas": {"name": blas.get("name"),
                      "version": blas.get("version")},
-            "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS}}
+            "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+            "git_commit": _git_commit()}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
@@ -340,8 +342,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None):
     The manifest's "solves" maps each system's output suffix to whether
     that solve converged, "bound_violations" the suffix of each solve with
     a bound report to the number of violations in it, and "environment"
-    records the numpy version, the BLAS name and version and the BLAS
-    thread variables.
+    records the numpy version, the BLAS name and version, the BLAS thread
+    variables and the git commit of the code (None outside a checkout).
     """
     warnings = cfg.validate()
     for w in warnings:
@@ -445,14 +447,13 @@ def _eigen_rhs_systems(cfg: ExperimentConfig, g: Grid1D):
 
 
 def _relaxed_compare_systems(cfg: ExperimentConfig, g: Grid1D):
-    """Constant-delta control versus the relaxed policy on the same system,
-    both aimed below the rounding floor; the row's plateau window stops
-    either at its floor."""
+    """Constant-delta control versus the relaxed policy on one system, aimed
+    below the rounding floor and stopped at it by a plateau window of 4."""
     instance = convection_diffusion_problem(g)
-    return [("_constant", instance.operator, instance.rhs,
-             {"epsilon": 1e-15}),
+    floor = {"epsilon": 1e-15, "plateau_window": 4}
+    return [("_constant", instance.operator, instance.rhs, floor),
             ("_relaxed", instance.operator, instance.rhs,
-             {"epsilon": 1e-15, "rounding_policy": "relaxed"})]
+             {**floor, "rounding_policy": "relaxed"})]
 
 
 class _Experiment(NamedTuple):
@@ -461,7 +462,7 @@ class _Experiment(NamedTuple):
     ``build(cfg, grid)`` returns the systems of the row, a list of
     (output suffix, operator, rhs, solver overrides); run_experiment solves
     each with the restarted driver, right-preconditioned when the config
-    asks for it, and writes its trace under the output name plus the
+    sets q >= 1, and writes its trace under the output name plus the
     suffix.  ``run(cfg, grid, prefix, phases)`` serves a row that solves
     nothing and returns the files it wrote.  A judged row succeeds when
     every solve converged, an unjudged one once its solves ran.
@@ -473,8 +474,7 @@ class _Experiment(NamedTuple):
     run: Callable | None = None
     full: bool = False                 # solves with full GMRES: m = maxit
     judged: bool = True                # the exit code reports convergence
-    reads: tuple[str, ...] = ()        # row-specific keys: j, rank_cap
-    plateau_window: int = 0            # judged rows a plateau is read on
+    reads: tuple[str, ...] = ()        # row-specific keys: j
 
 
 _UNIT = (0.0, 1.0)
@@ -498,19 +498,18 @@ EXPERIMENTS = {
         build=lambda cfg, g: _single(heat_parametrized_problem(
             g, ParamSet.uniform(cfg.p)))),
     "multi-rhs-poisson": _Experiment(
-        _UNIT, stacked=True, reads=("rank_cap",),
+        _UNIT, stacked=True,
         build=lambda cfg, g: _single(multi_rhs_problem(
-            poisson_problem(g), cfg.p, cfg.rank_cap, cfg.seed))),
+            poisson_problem(g), cfg.p, RANK_CAP, cfg.seed))),
     "multi-rhs-convdiff": _Experiment(
-        _CENTRED, stacked=True, reads=("rank_cap",),
+        _CENTRED, stacked=True,
         build=lambda cfg, g: _single(multi_rhs_problem(
-            convection_diffusion_problem(g), cfg.p, cfg.rank_cap, cfg.seed))),
+            convection_diffusion_problem(g), cfg.p, RANK_CAP, cfg.seed))),
     "eigen-rhs": _Experiment(
         _UNIT, build=_eigen_rhs_systems, full=True, reads=("j",)),
     "prec-sweep": _Experiment(_UNIT, run=_run_prec_sweep),
     "relaxed-compare": _Experiment(
-        _CENTRED, build=_relaxed_compare_systems, full=True, judged=False,
-        plateau_window=4),
+        _CENTRED, build=_relaxed_compare_systems, full=True, judged=False),
 }
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import subprocess
 from pathlib import Path
 from typing import get_type_hints
 
@@ -75,18 +77,11 @@ def test_non_finite_floats_rejected(field, value):
         build_config({"experiment": "poisson", field: value})
 
 
-def test_validate_rejects_nan_tau():
-    # A config built in code skips build_config's parse checks.
-    with pytest.raises(ConfigError, match="^tau: must be >= 0$"):
-        ExperimentConfig(experiment="convdiff", tau=float("nan")).validate()
-
-
 @pytest.mark.parametrize("setting", [
-    "epsilon=nan", "delta=nan", "tau=nan", "epsilon=inf"])
+    "epsilon=nan", "delta=nan", "epsilon=inf"])
 def test_non_finite_values_exit_2(setting, tmp_path, capsys):
     # Each of these used to run: to maxit (epsilon=nan, exit 1), with a NaN
-    # cutoff and every rank 1 (delta=nan), with a rank-1 preconditioner
-    # (tau=nan, exit 0), or without an end (epsilon=inf).
+    # cutoff and every rank 1 (delta=nan), or without an end (epsilon=inf).
     key, value = setting.split("=")
     code = main(["run", "convdiff_n63", "--set", "n=7", "--set", "m=10",
                  "--set", "maxit=10", "--set", setting,
@@ -107,10 +102,13 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("setting",
-                         ["assembly_every=1", "plateau_window=4"])
+@pytest.mark.parametrize("setting", [
+    "assembly_every=1", "plateau_window=4", "precondition=1", "tau=1e-8",
+    "rank_cap=4"])
 def test_deleted_schedule_keys_exit_2(setting, tmp_path, capsys):
-    # The judging schedule follows from bounds and the experiment's row.
+    # The judging schedule follows from bounds and the experiment's row, the
+    # preconditioner from q >= 1; tau and the multi-rhs rank cap are
+    # constants, as no experiment varies them.
     code = main(["run", "poisson_n63", "--set", setting,
                  "--output", str(tmp_path)])
     assert code == 2
@@ -122,15 +120,13 @@ def test_deleted_schedule_keys_exit_2(setting, tmp_path, capsys):
 
 @pytest.mark.parametrize("preset,setting,message", [
     ("convdiff_n63", "q=-3", "q: must be >= 0"),
-    ("convdiff_n63", "tau=-1", "tau: must be >= 0"),
     ("poisson_n63", "seed=-1", "seed: must be >= 0"),
-    ("multi_rhs_poisson_n63_p20", "rank_cap=0", "rank_cap: must be >= 1"),
     ("eigen_rhs_n31_j10", "j=40", "j: must lie in 1..n-1 for eigen-rhs"),
 ])
 def test_invalid_config_values_exit_2(preset, setting, message, tmp_path,
                                       capsys):
-    code = main(["run", preset, "--set", "n=7", "--set", "precondition=1",
-                 "--set", setting, "--output", str(tmp_path)])
+    code = main(["run", preset, "--set", "n=7", "--set", setting,
+                 "--output", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
@@ -139,7 +135,7 @@ def test_invalid_config_values_exit_2(preset, setting, message, tmp_path,
 
 PRESETS = sorted(p.stem for p in presets_dir().glob("*.cfg"))
 SMALL = ["--set", "n=7", "--set", "p=2", "--set", "maxit=10", "--set", "m=10",
-         "--set", "q=2", "--set", "j=3"]
+         "--set", "j=3"]
 BUILDERS = ("poisson_problem", "convection_diffusion_problem",
             "parametric_convection_diffusion_problem",
             "heat_parametrized_problem", "multi_rhs_problem",
@@ -163,6 +159,19 @@ def test_every_experiment_key_is_set_by_a_preset():
     assert keys - {"seed", "output", "format"} - named == set()
 
 
+def test_every_experiment_key_takes_two_values_across_presets():
+    # A key that every shipped preset leaves at one value (its default
+    # where the preset omits it) carries no choice and becomes a constant;
+    # a row-specific key is read by its own row only.
+    reads = {key for spec in EXPERIMENTS.values() for key in spec.reads}
+    values = {}
+    for preset in PRESETS:
+        for key, value in dataclasses.asdict(load_preset(preset)).items():
+            values.setdefault(key, set()).add(value)
+    single = {key for key, seen in values.items() if len(seen) < 2}
+    assert single - {"seed", "output", "format"} - reads == set()
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_presets_validate(preset):
     cfg = load_preset(preset)
@@ -180,8 +189,9 @@ def test_preset_operators_are_at_exact_ranks(preset):
     spec = EXPERIMENTS[cfg.experiment]
     g = Grid1D(cfg.n, *spec.interval)
     ops = [op for _, op, _, _ in spec.build(cfg, g)]
-    if cfg.precondition:
-        ops.append(cli._preconditioner(cfg, g))
+    m = cli._preconditioner(cfg, g)
+    if m is not None:
+        ops.append(m)
     for op in ops:
         assert tt_round(op, 1e-14).ranks == op.ranks
 
@@ -191,7 +201,9 @@ def test_smoke_every_experiment(experiment, tmp_path, capsys):
     # the first shipped preset of the experiment, shrunk
     preset = next(p for p in PRESETS
                   if load_preset(p).experiment == experiment)
-    code = main(["run", preset, *SMALL, "--set", "output=smoke",
+    # a preconditioned preset keeps its preconditioner, with fewer addends
+    q = ["--set", "q=2"] if load_preset(preset).q else []
+    code = main(["run", preset, *SMALL, *q, "--set", "output=smoke",
                  "--output", str(tmp_path)])
     manifest = json.loads((tmp_path / "smoke_manifest.json").read_text())
     assert code == (0 if manifest["converged"] else 1)
@@ -220,6 +232,19 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
     assert env["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
                                    "OMP_NUM_THREADS": "2",
                                    "MKL_NUM_THREADS": None}
+    commit = env["git_commit"]
+    assert commit is None or re.fullmatch("[0-9a-f]{40}", commit)
+
+
+def test_git_commit_is_none_outside_a_checkout_or_without_git(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
+    assert cli._git_commit() is None
+
+    def no_git(*args, **kwargs):
+        raise FileNotFoundError("git")
+    monkeypatch.setattr(subprocess, "run", no_git)
+    assert cli._git_commit() is None
 
 
 @pytest.fixture
@@ -253,15 +278,11 @@ def test_bounds_rejected_before_build_unless_stacked(preset, tmp_path,
 
 @pytest.mark.parametrize("preset,key,value", [
     ("poisson_n63", "p", 2),
-    ("poisson_n63", "q", 4),
-    ("poisson_n63", "tau", 0.1),
     ("param_convdiff_n15_p5", "j", 3),
-    ("eigen_rhs_n31_j10", "rank_cap", 4),
     ("eigen_rhs_n31_j10", "m", 10),
     ("relaxed_compare_n63", "m", 10),
     ("prec_sweep_n63", "delta", 1e-6),
     ("prec_sweep_n63", "maxit", 50),
-    ("prec_sweep_n63", "precondition", True),
     ("prec_sweep_n63", "q", 4),
 ])
 def test_unread_key_warns(preset, key, value):
@@ -272,8 +293,8 @@ def test_unread_key_warns(preset, key, value):
 @pytest.mark.parametrize("preset,key,value", [
     ("param_convdiff_n15_p5", "p", 3),
     ("eigen_rhs_n31_j10", "j", 3),
-    ("multi_rhs_poisson_n63_p20", "rank_cap", 4),
     ("convdiff_n63", "q", 4),
+    ("poisson_n63", "q", 4),
     ("poisson_n63", "m", 10),
     ("prec_sweep_n63", "seed", 3),
 ])
@@ -293,15 +314,21 @@ def test_run_row_warns_on_solver_keys_instead_of_failing(tmp_path, capsys):
 
 
 def test_eigen_rhs_preconditioned_smoke(tmp_path):
-    # One preconditioner serves the stacked system (stacked to its modes)
-    # and the unstacked slow one (as built).
+    # q >= 1 preconditions a preset that sets no q.  One preconditioner
+    # serves the stacked system (stacked to its modes) and the unstacked
+    # slow one (as built).
     code = main(["run", "eigen_rhs_n31_j10", "--set", "n=7", "--set", "j=3",
-                 "--set", "q=2", "--set", "precondition=1",
-                 "--output", str(tmp_path)])
+                 "--set", "q=2", "--output", str(tmp_path)])
     manifest = json.loads(
         (tmp_path / "eigen_rhs_n31_j10_manifest.json").read_text())
     assert code == 0
     assert manifest["solves"] == {"": True, "_slow": True}
+    for suffix in manifest["solves"]:
+        trace = tmp_path / f"eigen_rhs_n31_j10{suffix}_trace.csv"
+        last = dict(zip(TRACE_COLUMNS,
+                        trace.read_text().splitlines()[-1].split(",")))
+        # the judged eta is that of the preconditioned system A M x = b
+        assert last["eta_Ab"] == "nan" and last["eta_AMb"] != "nan"
 
 
 def _direct_traces(out_dir, outcomes):
@@ -341,16 +368,17 @@ def test_relaxed_compare_traces_match_direct_solves(tmp_path):
     cfg = dataclasses.replace(load_preset("relaxed_compare_n63"), n=7, q=2)
     g = Grid1D(7, -1.0, 1.0)
     problem = convection_diffusion_problem(g)
-    chain = OperatorChain([problem.operator,
-                           inv_laplacian_preconditioner(3, g, 2, cfg.tau)])
-    # Both solves stop on the row's plateau window.
-    solver_cfg = cfg.gmres_config(epsilon=1e-15)
-    assert solver_cfg.plateau_window == 4
-    direct = _direct_traces(tmp_path / "direct", {
+    chain = OperatorChain([problem.operator, inv_laplacian_preconditioner(
+        3, g, 2, cli.PRECOND_TAU)])
+    solver_cfg = cfg.gmres_config(epsilon=1e-15, plateau_window=4)
+    outcomes = {
         "relaxed_compare_n63_constant": tt_gmres(
             chain, problem.rhs, solver_cfg),
         "relaxed_compare_n63_relaxed": relaxed_tt_gmres(
-            chain, problem.rhs, solver_cfg)})
+            chain, problem.rhs, solver_cfg)}
+    # Both solves stop on the plateau window, before maxit.
+    assert all(out.iterations < cfg.maxit for out in outcomes.values())
+    direct = _direct_traces(tmp_path / "direct", outcomes)
     for name, trace in direct.items():
         assert (tmp_path / f"{name}_trace.csv").read_bytes() == trace
 

@@ -659,6 +659,25 @@ class TestRelaxed:
         assert all(r.eta_Ab >= threshold or math.isnan(r.eta_Ab)
                    for r in out.trace[:-1])
 
+    def test_keeps_a_smaller_basis(self):
+        # The relaxed policy's point: the loosened roundings of later basis
+        # vectors keep their ranks down, in as many iterations.  On
+        # preconditioned conv-diff at n = 31 the peak basis rank is 20
+        # against 27 for the constant policy.
+        g = Grid1D(31, -1.0, 1.0)
+        problem = convection_diffusion_problem(g)
+        m = inv_laplacian_preconditioner(3, g, 8, 1e-2)
+        peaks, iterations = {}, {}
+        for policy in ("constant", "relaxed"):
+            cfg = GmresConfig(m=40, maxit=40, epsilon=1e-5, delta=1e-7,
+                              rounding_policy=policy)
+            out = tt_right_gmres(problem.operator, m, problem.rhs, cfg)
+            assert out.converged
+            iterations[policy] = out.iterations
+            peaks[policy] = max(r.max_rank_v for r in out.trace)
+        assert iterations["relaxed"] == iterations["constant"]
+        assert peaks["relaxed"] < peaks["constant"]
+
 
 #: the problems of the dense-oracle grid below
 CONVDIFF_7 = convection_diffusion_problem(Grid1D(7, -1.0, 1.0))
