@@ -560,13 +560,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "presets":
-        for path in sorted(presets_dir().glob("*.cfg")):
-            head = ""
-            for line in path.read_text().splitlines():
-                if line.startswith("#"):
-                    head = line.lstrip("# ").strip()
-                    break
-            print(f"{path.stem:28s} {head}")
+        try:
+            for path in sorted(presets_dir().glob("*.cfg")):
+                head = ""
+                for line in path.read_text().splitlines():
+                    if line.startswith("#"):
+                        head = line.lstrip("# ").strip()
+                        break
+                print(f"{path.stem:28s} {head}")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has closed the pipe (``ttkrylov presets | head -1``);
+            # stdout goes to devnull, so the flush at exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
 
     if args.jobs < 1:

@@ -9,27 +9,26 @@ There is one rounding routine, tt_round_sum, which rounds a linear
 combination of TT vectors term by term without forming it; tt_round is its
 one-term case, and rounds an operator as the vector of its fused-mode
 cores.  tt_norm and tt_first_mode_norms take the right-to-left R sweep of
-the same routine.
+the same routine.  No QR whose Q would be square is taken: a leading bond
+above its cap is cut by fusing the leading modes, Q = I.
 
-That sweep keeps one factor F per core, F^T F = C C^T for the core's
-unfolding C (r x m).  When tt_round_sum rounds a single term and C is tall
-(m >= GRAM_MIN_ROWS), F may be Lambda^(1/2) V^T from the eigh of the Gram
-matrix C C^T (Al Daas, Ballard & Manning, IPDPS 2022): its syrk runs at
-level-3 speed, where geqrf's panels do not.  Every other core, every core
-of a sum and of a norm sweep, takes the R factor of C^T (geqrf).  A Gram
-factor is exact only to |F^T F - C C^T| <= sqrt(m) eps |C|_F^2, so the
-singular values it gives at the bond left of the core are off by up to
-sqrt(sqrt(m) eps) |L| |C|, L the cores left of the bond.  That is
-sqrt(eps) times the size of the parts of x, not of x, and it is larger
-than x's own small singular values wherever those parts cancel.  So
-tt_round_sum bounds it at every bond from the norms of L, spends it out of
-the bond's cutoff, and redoes the rounding on geqrf when it is above half
-the cutoff.  Below delta = 2 sqrt((d - 1) sqrt(m) eps) (at d = 3, 2.6e-7
-for m = 1536 and 5e-7 for m = 20000) no rounding could pass, and the Gram
-factor is not tried: so never at the judge's 1e-8.  A sum's terms are apt
-to cancel (a residual, an MGS step), where the Gram sweep would be wasted,
-and the norms of tt_norm and tt_first_mode_norms need eps, not sqrt(eps):
-those stay on geqrf.
+That sweep keeps one factor F per core, F^T F = C C^T for the core's unfolding
+C (r x m), C^T itself where C is wide.  When tt_round_sum rounds a single term
+and C is tall (m >= GRAM_MIN_ROWS), F may be Lambda^(1/2) V^T from the eigh of
+the Gram matrix C C^T (Al Daas, Ballard & Manning, IPDPS 2022): its syrk runs
+at level-3 speed, where geqrf's panels do not.  Any other core takes the R
+factor of C^T (geqrf).  A Gram factor is exact only to |F^T F - C C^T| <=
+sqrt(m) eps |C|_F^2, so the singular values it gives at the bond left of the
+core are off by up to sqrt(sqrt(m) eps) |L| |C|, L the cores left of the
+bond.  That is sqrt(eps) times the size of the parts of x, not of x, and it is
+larger than x's own small singular values wherever those parts cancel.  So
+tt_round_sum bounds it at every bond from the norms of L, spends it out of the
+bond's cutoff, and redoes the rounding on geqrf when it is above half the
+cutoff.  Below delta = 2 sqrt((d - 1) sqrt(m) eps) (at d = 3, 2.6e-7 for m =
+1536 and 5e-7 for m = 20000) no rounding could pass, and the Gram factor is
+not tried: so never at the judge's 1e-8.  A sum's terms are apt to cancel (a
+residual, an MGS step), where the Gram sweep would be wasted, and the norms of
+tt_norm and tt_first_mode_norms need eps, not sqrt(eps): those stay on geqrf.
 
 All objects are immutable after construction (core arrays are marked
 read-only) and every function here is pure, so values can be shared freely
@@ -494,6 +493,8 @@ def _factor(c: np.ndarray, room) -> tuple[np.ndarray, float]:
     """A factor F of the unfolding c (r, m) with F^T F = c c^T, and a bound
     on |F^T F - c c^T|_2.
 
+    A wide c (m <= r) is its own factor, F = c^T (m, r), with bound 0: the
+    QR of c^T would only rotate it by a square Q.
     With room set and m >= GRAM_MIN_ROWS, sqrt(m) eps <= room, F =
     Lambda^(1/2) V^T (r, r) from eigh(c c^T), eigenvalues below 0 taken
     as 0, and the bound is sqrt(m) eps |c|_F^2: the probabilistic bound
@@ -502,11 +503,12 @@ def _factor(c: np.ndarray, room) -> tuple[np.ndarray, float]:
     7 cores of a convdiff-prec-n127 solve that take it (m = 3048 to
     14478), the error against a Gram matrix in extended precision was
     0.013 to 0.086 of the bound.
-    Otherwise F is the R factor of c^T (min(r, m), r), by geqrf alone
-    (``mode="r"``: no Q is formed), exact up to eps |c| in c, and the
-    bound is 0.
+    Otherwise F is the R factor of c^T (r, r) by geqrf (``mode="r"``, no
+    Q formed), exact up to eps |c| in c, with bound 0.
     """
-    m = c.shape[1]
+    r, m = c.shape
+    if m <= r:
+        return c.T, 0.0
     if room is not None and GRAM_MIN_ROWS <= m and math.sqrt(m) * _EPS <= room:
         g = c @ c.T
         lam, v = np.linalg.eigh(g)
@@ -530,9 +532,9 @@ def _right_r_sweep(lead, blocks, at=0, delta=None):
     unfolding C (r_{k-1}, n_k r_k) of core k of the sum with rs[k+1]^T
     absorbed, F^T F = C C^T (_factor), so cores k, ..., d-1 contract to
     rs[k]^T times a row-orthonormal matrix; first is core 0 with rs[1]^T
-    absorbed (no lead: every term's, stacked).  F is the R factor of C^T
-    (geqrf) unless delta is given and C is tall, when it may come from
-    the eigh of C C^T; only tt_round_sum gives delta, for a single term.
+    absorbed (no lead: every term's, stacked).  F is C^T if C is wide, else
+    the R factor of C^T (geqrf) unless delta is given and C is tall, when
+    it may come from eigh(C C^T); only tt_round_sum gives delta, for one term.
     errs[k] bounds |rs[k]^T rs[k] - G_k|_2 for G_k the exact Gram matrix
     of cores k, ..., d-1 (0 with no Gram factor among them): core k's own
     Gram error, plus errs[k+1] carried through core k, which scales it by
@@ -624,19 +626,18 @@ def _cap_sum_bonds(lead: np.ndarray, blocks):
 
     The sum is ``lead @ blockdiag(blocks[0]) ...`` as in _sum_blocks.
     While the left unfolding (r_{k-1} n_k, r_k) of its leading core, lead
-    applied, is wide, that core is replaced by its QR factor Q and lead
-    becomes R.  This is a change of basis, so the tensor is unchanged up
-    to round-off; the sweeps that follow then work at the capped bond
-    instead of the inflated one.  Returns (lead, blocks, at) in the form
-    _right_r_sweep takes: blocks[k] is [Q_k] for k < at, and lead the R
-    that enters blocks[at].
+    applied, is wide, lead becomes that unfolding and the core the
+    identity (r_{k-1}, n_k, r_{k-1} n_k): the core's QR with Q = I, which
+    is exact, where a square Q from geqrf would only rotate it.  The sweeps
+    that follow then work at the capped bond instead of the inflated one.
+    Returns (lead, blocks, at) in the form _right_r_sweep takes: blocks[k]
+    is [I] for k < at, and lead the unfolding that enters blocks[at].
 
-    A single term takes R into its core at once (lead becomes 1, at 0):
+    A single term takes lead into its core at once (lead becomes 1, at 0):
     that product is no larger than the core, and the sweeps then see the
     capped tensor itself, which keeps rounding a tensor whose parts cancel
-    as accurate as the Q-forming QR-then-SVD rounding.  A sum keeps R
-    apart, as applied to its terms' cores it would form the
-    (r, n, sum_j r_j) core.
+    as accurate as the Q-forming QR-then-SVD rounding.  A sum keeps lead
+    apart, as it would form the (r, n, sum_j r_j) core with its terms'.
     """
     head = []
     for block in blocks[:-1]:
@@ -644,9 +645,8 @@ def _cap_sum_bonds(lead: np.ndarray, blocks):
         b = sum(c.shape[2] for c in block)
         if a * n >= b:
             break
-        core = np.concatenate(list(_carried(lead, block)), axis=2)
-        q, lead = np.linalg.qr(core.reshape(a * n, b))
-        head.append([q.reshape(a, n, a * n)])
+        lead = np.dstack(list(_carried(lead, block))).reshape(a * n, b)
+        head.append([np.eye(a * n).reshape(a, n, a * n)])
     at = len(head)
     blocks = head + list(blocks[at:])
     if len(blocks[at]) == 1:
@@ -691,18 +691,18 @@ def tt_round_sum(terms, coeffs, delta: float) -> TTVector:
     its interior cores, block diagonal with zero blocks off the diagonal,
     are never formed.
 
-    * Leading bonds above their natural cap r_{k-1} n_k are first cut by
-      an exact left QR sweep (_cap_sum_bonds).
+    * Leading bonds above their natural cap r_{k-1} n_k are first cut,
+      exactly, by fusing the leading modes (_cap_sum_bonds).
     * A right-to-left sweep keeps only a factor R_k of each core, with
       R_k^T R_k = C_k C_k^T for the unfolding C_k of core k with R_{k+1}^T
       absorbed; for a sum it absorbs R_{k+1}^T into each block,
       ``B_k^j R_j^T`` (R_j the columns of R_{k+1} on term j's bond), and
       stacks the results, which is the swept core of the sum
-      (_right_r_sweep).  R_k is the R of C_k^T's QR (geqrf, no Q), or,
-      for a single term and C_k tall (m >= GRAM_MIN_ROWS), Lambda^(1/2)
-      V^T from eigh(C_k C_k^T), which costs a syrk instead of geqrf's
-      level-2 panels.  The SVD sweep needs only R_k^T R_k, so it is the
-      same for both.
+      (_right_r_sweep).  R_k is C_k^T if C_k is wide, else the R of
+      C_k^T's QR (geqrf, no Q), or, for a single term and C_k tall
+      (m >= GRAM_MIN_ROWS), Lambda^(1/2) V^T from eigh(C_k C_k^T), which
+      costs a syrk instead of geqrf's level-2 panels.  The SVD sweep needs
+      only R_k^T R_k, so it is the same for all three.
     * The left-to-right sweep forms ``W_k = sum_j (carry_j B_k^j) R_j^T``,
       which has the singular values of the sum's unfolding at bond k, as
       the cores right of it contract to R_{k+1}^T times a row-orthonormal

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import os
 import re
 import subprocess
+import sys
 from pathlib import Path
 from typing import get_type_hints
 
@@ -177,6 +179,24 @@ def test_presets_validate(preset):
     cfg = load_preset(preset)
     assert cfg.experiment in EXPERIMENTS
     assert cfg.validate() == []
+
+
+def test_presets_exit_quietly_on_a_closed_pipe():
+    # ``ttkrylov presets | head -1`` closes the pipe after the first line,
+    # and every line after it meets a reader that has gone.  Closing the
+    # read end before the listing starts makes that happen on the first
+    # write, every time, where head's timing decides it.
+    src = str(Path(cli.__file__).parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ttkrylov.cli", "presets"], stdout=write,
+            stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("preset", [

@@ -11,6 +11,7 @@ from ttkrylov import (
     RankChainError,
     TTError,
     TTOperator,
+    TTVector,
     make_tt_operator,
     make_tt_vector,
     storage_stats,
@@ -390,6 +391,14 @@ def _dense(x):
     return tt_op_to_dense(x) if isinstance(x, TTOperator) else tt_to_dense(x)
 
 
+def _cancelling_norm_case():
+    """y + 1e-9 z - y, formed, and its exact norm 1e-9 |z|."""
+    y = rand_vec((5, 5, 5), (1, 3, 3, 1), seed=1)
+    z = rand_vec((5, 5, 5), (1, 1, 1, 1), seed=2)
+    return (tt_add(y, tt_scale(z, 1e-9), tt_scale(y, -1.0)),
+            1e-9 * np.linalg.norm(tt_to_dense(z)))
+
+
 class TestRoundMatchesQFormingSweep:
     """tt_round keeps only R factors; the reference forms every Q."""
 
@@ -428,26 +437,32 @@ class TestRoundMatchesQFormingSweep:
         assert max(ratios) <= 2.0
         assert np.exp(np.mean(np.log(ratios))) <= 1.0
 
-    @pytest.mark.parametrize("x", [
-        tt_zero((3, 4, 2)),
-        tt_zero((5,)),
-        rand_vec((6,), (1, 1), seed=3),
-        rand_vec((4, 5, 6), (1, 3, 2, 1), seed=4),
-        rand_vec((2, 3, 2, 3), (1, 2, 6, 3, 1), seed=5),
-        tt_add(rand_vec((5, 5, 5), (1, 3, 3, 1), seed=1),
-               tt_scale(rand_vec((5, 5, 5), (1, 1, 1, 1), seed=2), 1e-9),
-               tt_scale(rand_vec((5, 5, 5), (1, 3, 3, 1), seed=1), -1.0)),
+    @pytest.mark.parametrize("x, exact", [
+        *[(x, np.linalg.norm(tt_to_dense(x))) for x in (
+            tt_zero((3, 4, 2)),
+            tt_zero((5,)),
+            rand_vec((6,), (1, 1), seed=3),
+            rand_vec((4, 5, 6), (1, 3, 2, 1), seed=4),
+            rand_vec((2, 3, 2, 3), (1, 2, 6, 3, 1), seed=5))],
+        _cancelling_norm_case(),
     ], ids=["zero", "zero-d1", "d1", "d3", "d4", "cancellation"])
-    def test_norm(self, x):
-        ref = tt_norm_forming_q(x)
-        assert abs(tt_norm(x) - ref) <= 1e-14 * ref
+    def test_norm(self, x, exact):
+        # tt_norm is within 1e-14 of the exact norm, or no further from it
+        # than the reference.  Where the parts cancel, y + 1e-9 z - y of norm
+        # 1e-9 |z|, both lose round-off at the size of the parts (2.5e-8 and
+        # 6.9e-8 of the result), and not the same round-off: tt_norm takes
+        # a wide unfolding as its own factor, where the reference takes the
+        # R of a QR whose Q is square.
+        ref_err = abs(tt_norm_forming_q(x) - exact)
+        assert abs(tt_norm(x) - exact) <= max(ref_err, 1e-14 * exact)
 
     @pytest.mark.parametrize("x", [
         rand_vec((4, 5, 6), (1, 3, 2, 1), seed=6),
         tt_add(rand_vec((6, 6, 6), (1, 3, 3, 1), seed=7),
                rand_vec((6, 6, 6), (1, 2, 2, 1), seed=8)),
         rand_op((3, 3, 3), (3, 3, 3), (1, 4, 4, 1), seed=9),
-    ], ids=["vector", "sum", "operator"])
+        [rand_vec((2, 3, 3), (1, 3, 3, 1), seed=s) for s in (10, 11, 12)],
+    ], ids=["vector", "sum", "operator", "capped-sum"])
     def test_no_q_is_formed(self, x, monkeypatch):
         modes = []
         qr = tt_module.np.linalg.qr
@@ -457,10 +472,50 @@ class TestRoundMatchesQFormingSweep:
             return qr(a, mode=mode)
 
         monkeypatch.setattr(tt_module.np.linalg, "qr", spy)
-        tt_round(x, 1e-8)
-        if not isinstance(x, TTOperator):
+        if isinstance(x, list):
+            # the sum's leading bond, 9, is above n_0 = 2, so it is capped
+            tt_round_sum(x, [1.0, -2.0, 0.5], 1e-8)
+        else:
+            tt_round(x, 1e-8)
+        if isinstance(x, TTVector):
             tt_norm(x)
         assert modes and set(modes) == {"r"}
+
+
+class TestNoSquareQ:
+    """No QR whose Q would be square is taken: leading bonds above their
+    cap are cut with Q = I, and a wide unfolding C is its own factor C^T."""
+
+    @pytest.mark.parametrize("room", [None, 1.0])
+    def test_wide_unfolding_is_its_own_factor(self, room, monkeypatch):
+        # Every width may take the Gram factor here, whose (r, r) factor a
+        # wide C must not take either.
+        monkeypatch.setattr(tt_module, "GRAM_MIN_ROWS", 1)
+        calls = []
+        for name in ("qr", "eigh"):
+            real = getattr(tt_module.np.linalg, name)
+            monkeypatch.setattr(
+                tt_module.np.linalg, name,
+                lambda *args, name=name, real=real, **kwargs:
+                calls.append(name) or real(*args, **kwargs))
+        c = np.random.default_rng(13).standard_normal((6, 4))
+        f, err = tt_module._factor(c, room)
+        assert (f.shape, err, calls) == ((4, 6), 0.0, [])
+        np.testing.assert_array_equal(f.T @ f, c @ c.T)
+
+    @pytest.mark.parametrize("terms, coeffs", [
+        # leading bonds 9 and 9 above the caps 2 and 6, a wide last core
+        ([tt_random((2, 3, 3), (1, 3, 3, 1), seed=s) for s in (14, 15, 16)],
+         [0.7, -1.3, 2.1]),
+        # ranks (1, 6, 6, 1): the last unfolding is (6, 2)
+        ([tt_apply(rand_op((3, 3, 2), (3, 3, 2), (1, 3, 3, 1), seed=17),
+                   tt_random((3, 3, 2), (1, 2, 2, 1), seed=18))], [1.0]),
+    ], ids=["capped-sum", "wide-product"])
+    def test_exact_at_delta_zero(self, terms, coeffs):
+        z = tt_round_sum(terms, coeffs, 0.0)
+        dense = sum(c * tt_to_dense(t) for c, t in zip(coeffs, terms))
+        scale = sum(abs(c) * tt_norm(t) for c, t in zip(coeffs, terms))
+        assert np.linalg.norm(tt_to_dense(z) - dense) <= 1e-14 * scale
 
 
 @st.composite
