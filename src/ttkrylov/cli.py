@@ -138,6 +138,11 @@ class ExperimentConfig:
             raise ConfigError("seed: must be >= 0")
         if self.format not in ("csv", "json"):
             raise ConfigError("format: must be csv or json")
+        # the output name prefixes files inside the output directory
+        if self.output in ("", ".", "..") or any(
+                sep and sep in self.output for sep in (os.sep, os.altsep)):
+            raise ConfigError(
+                f"output: must be a file name, got {self.output!r}")
         # Solver fields are checked here, before any operator is built; a
         # row that solves nothing reads none of them.
         if spec.run is None:

@@ -110,7 +110,12 @@ class ParamSet:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A ready-to-solve (operator, rhs) pair with optional extras."""
+    """A ready-to-solve (operator, rhs) pair with optional extras.
+
+    analytic_solution is the sampled manufactured solution, which need not
+    solve the discrete system: poisson_problem's does only on [-1, 1]^3
+    (see there).
+    """
 
     operator: TTOperator
     rhs: TTVector
@@ -200,6 +205,12 @@ def poisson_problem(g: Grid1D) -> ProblemInstance:
 
     u(x, y, z) = (1 - x^2)(1 - y^2)(1 - z^2), f = -Lap u; the rhs is the
     pointwise sampling of f, assembled analytically as a rank-3 TT sum.
+
+    The sampled u is the discrete solution x only on [-1, 1]^3, where u
+    vanishes on the boundary and the stencil is exact on its quadratic
+    factors: a dense solve gives |x - u| / |x| = 3.9e-16 at n = 15.  On
+    the poisson row's [0, 1]^3 it is not: there |x - u| / |x| is 3.52 at
+    n = 7 and 3.95 at n = 15.
     """
     w = _poly_nodes(g)
     ones = np.ones(g.n)

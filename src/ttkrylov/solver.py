@@ -169,6 +169,8 @@ class GmresConfig:
             raise ValueError("maxit must be >= m")
         if self.plateau_window < 0:
             raise ValueError("plateau_window must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.rounding_policy not in ("constant", "relaxed"):
             raise ValueError(f"unknown rounding policy {self.rounding_policy}")
 

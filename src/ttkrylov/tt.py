@@ -9,8 +9,11 @@ There is one rounding routine, tt_round_sum, which rounds a linear
 combination of TT vectors term by term without forming it; tt_round is its
 one-term case, and rounds an operator as the vector of its fused-mode
 cores.  tt_norm and tt_first_mode_norms take the right-to-left R sweep of
-the same routine.  No QR whose Q would be square is taken: a leading bond
-above its cap is cut by fusing the leading modes, Q = I.
+the same routine.  Every sweep takes a sum in one form, c^T blockdiag(B_0)
+... blockdiag(B_{d-1}) 1: rows c of coefficients in (a norm is one term
+under the coefficient 1) and the row of ones to close.  No QR whose Q
+would be square is taken: a leading bond above its cap is cut by fusing
+the leading modes, Q = I.
 
 That sweep keeps one factor F per core, F^T F = C C^T for the core's unfolding
 C (r x m), C^T itself where C is wide.  When tt_round_sum rounds a single term
@@ -457,35 +460,26 @@ def _carried(carry: np.ndarray, blocks):
         yield _carry_right(c, block)
 
 
-def _times_rt(block: np.ndarray, rt) -> np.ndarray:
-    """block (a, n, b) with rt^T (b, rho) absorbed into its right bond; rt
-    None (b = 1, a column of ones) leaves the block as it is."""
-    if rt is None:
-        return block
+def _times_rt(block: np.ndarray, rt: np.ndarray) -> np.ndarray:
+    """block (a, n, b) with rt^T (b, rho) absorbed into its right bond."""
     a, n, b = block.shape
     return (block.reshape(a * n, b) @ rt.T).reshape(a, n, -1)
 
 
-def _split_rt(rt, blocks) -> list:
-    """Column blocks of rt by the right ranks of the blocks (Nones if rt is
-    None)."""
-    if rt is None:
-        return [None] * len(blocks)
+def _split_rt(rt: np.ndarray, blocks) -> list[np.ndarray]:
+    """Column blocks of rt by the right ranks of the blocks."""
     return _split_columns(rt, [b.shape[2] for b in blocks])
 
 
-def _sum_times_rt(carry: np.ndarray, blocks, rt) -> np.ndarray:
+def _sum_times_rt(carry: np.ndarray, blocks, rt: np.ndarray) -> np.ndarray:
     """``carry @ blockdiag(blocks) @ rt^T``, one block at a time: (r, n, rho).
 
-    rt None closes the blocks (all b_j = 1) by a column of ones.
+    At the last core (all b_j = 1), rt is the (1, J) row of ones.
     """
-    total = None
-    for m, r in zip(_carried(carry, blocks), _split_rt(rt, blocks)):
-        m = _times_rt(m, r)
-        if total is None:
-            total = m
-        else:
-            total += m
+    parts = map(_times_rt, _carried(carry, blocks), _split_rt(rt, blocks))
+    total = next(parts)
+    for m in parts:
+        total += m
     return total
 
 
@@ -521,20 +515,20 @@ def _right_r_sweep(lead, blocks, at=0, delta=None):
     """Right-to-left sweep of a sum that keeps only a small factor per core.
 
     The sum is the chain ``B_0 ... B_{at-1} lead blockdiag(B_at) ...
-    blockdiag(B_{d-1})`` closed by a column of ones, where blocks[k] lists
-    core k of every term, B_k, and the leading blocks k < at hold one core
-    each (at = 0: lead is the (1, J) row of coefficients).  Its cores are
-    never formed; each product with a block-diagonal core is taken one
-    term at a time.  lead None stands for the J x J identity, which sweeps
-    the J terms together without summing them.
+    blockdiag(B_{d-1}) 1``, where blocks[k] lists core k of every term,
+    B_k, the leading blocks k < at hold one core each, and 1 is the
+    column of ones (at = 0: lead holds K >= 1 rows of coefficients, one
+    per sum).  Its cores are never formed; each product with a
+    block-diagonal core is taken one term at a time.
 
     Returns (first, rs, errs).  For k >= 1, rs[k] is a factor F of the
     unfolding C (r_{k-1}, n_k r_k) of core k of the sum with rs[k+1]^T
     absorbed, F^T F = C C^T (_factor), so cores k, ..., d-1 contract to
-    rs[k]^T times a row-orthonormal matrix; first is core 0 with rs[1]^T
-    absorbed (no lead: every term's, stacked).  F is C^T if C is wide, else
-    the R factor of C^T (geqrf) unless delta is given and C is tall, when
-    it may come from eigh(C C^T); only tt_round_sum gives delta, for one term.
+    rs[k]^T times a row-orthonormal matrix; core d-1 absorbs the (1, J)
+    row of ones.  first is core 0 with rs[1]^T absorbed, (K, n_0, r_1) at
+    at = 0.  F is C^T if C is wide, else the R factor of C^T (geqrf)
+    unless delta is given and C is tall, when it may come from
+    eigh(C C^T); only tt_round_sum gives delta, for one term.
     errs[k] bounds |rs[k]^T rs[k] - G_k|_2 for G_k the exact Gram matrix
     of cores k, ..., d-1 (0 with no Gram factor among them): core k's own
     Gram error, plus errs[k+1] carried through core k, which scales it by
@@ -547,9 +541,9 @@ def _right_r_sweep(lead, blocks, at=0, delta=None):
     room = None if delta is None else delta * delta / (4 * (d - 1))
     rs = [None] * d
     errs = [0.0] * (d + 1)
-    rt = None
+    rt = np.ones((1, len(blocks[-1])))
     for k in range(d - 1, -1, -1):
-        if k == at and lead is not None:
+        if k == at:
             core = _sum_times_rt(lead, blocks[k], rt)
         else:
             parts = [_times_rt(b, r)
@@ -569,14 +563,15 @@ def _right_r_sweep(lead, blocks, at=0, delta=None):
 def tt_norm(x: TTVector) -> float:
     """Frobenius norm, sqrt(<x, x>).
 
-    Evaluated as |core 0| after a right-to-left sweep that keeps only the
-    R factors of each core's QR (the Q factors are orthonormal and never
-    formed), rather than by the Gram recursion: on cancellation-heavy
-    inputs (residuals of nearly-consistent systems) this keeps the
-    absolute error at eps * |cores| instead of eps * |cores|^2, and it
-    cannot go negative.  So the sweep never takes a Gram factor here.
+    Evaluated as |core 0| after a right-to-left sweep of x, one term
+    under the lead [[1]], that keeps only the R factors of each core's QR
+    (the Q factors are orthonormal and never formed), rather than by the
+    Gram recursion: on cancellation-heavy inputs (residuals of
+    nearly-consistent systems) this keeps the absolute error at eps *
+    |cores| instead of eps * |cores|^2, and it cannot go negative.  So the
+    sweep never takes a Gram factor here.
     """
-    first = _right_r_sweep(None, [[c] for c in x.cores])[0]
+    first = _right_r_sweep(np.ones((1, 1)), [[c] for c in x.cores])[0]
     return float(np.linalg.norm(first))
 
 
@@ -608,16 +603,15 @@ def tt_first_mode_norms(*terms: TTVector, coeffs=None) -> np.ndarray:
 
     The tensor is the sum of coeffs[j] terms[j] (coeffs default to ones),
     a single term x included; a matrix of coeffs gives a row of norms per
-    row of coefficients.  tt_norm's right-to-left R sweep of the terms,
-    not summed (see _right_r_sweep), gives each term's swept first core,
-    and cores 1, ..., d-1 contract to a row-orthonormal matrix, so slice l
-    has the norm of row l of the combined swept cores.  Entry l-1 is the
-    norm of tt_slice_first_mode(x, l); the norm of a row is |x|.
+    row of coefficients.  tt_norm's right-to-left R sweep of the sums, one
+    per row (see _right_r_sweep), gives their swept first cores, and cores
+    1, ..., d-1 contract to a row-orthonormal matrix, so slice l has the
+    norm of row l of a sum's swept first core.  Entry l-1 is the norm of
+    tt_slice_first_mode(x, l); the norm of a row is |x|.
     """
     lead, blocks = _sum_blocks(
         terms, np.ones(len(terms)) if coeffs is None else coeffs)
-    parts = _right_r_sweep(None, blocks)[0]
-    norms = np.linalg.norm(np.tensordot(lead, parts, axes=1), axis=2)
+    norms = np.linalg.norm(_right_r_sweep(lead, blocks)[0], axis=2)
     return norms if np.ndim(coeffs) == 2 else norms[0]
 
 
@@ -741,7 +735,8 @@ def tt_round_sum(terms, coeffs, delta: float) -> TTVector:
     if len(lead) != 1:
         raise TTError("a rounded sum takes one row of coefficients")
     if len(blocks) == 1:
-        return make_tt_vector([_sum_times_rt(lead, blocks[0], None)])
+        return make_tt_vector(
+            [_sum_times_rt(lead, blocks[0], np.ones((1, len(blocks[0]))))])
     lead, blocks, at = _cap_sum_bonds(lead, blocks)
     if len(blocks[-1]) == 1:
         rounded = _round_swept(lead, blocks, at, delta, gram=True)
@@ -770,7 +765,8 @@ def _round_swept(lead, blocks, at, delta: float, gram: bool):
         if k == at:
             carry = carry @ lead
         if k == d - 1:
-            out.append(_sum_times_rt(carry, block, None))
+            out.append(_sum_times_rt(carry, block,
+                                     np.ones((1, len(block)))))
             break
         a, n = carry.shape[0], block[0].shape[1]
         cut = tau

@@ -4,10 +4,10 @@
 ``m`` and ``b``) and wraps ``cli.verify_bounds`` by name to take the bound
 report.  One traced solve of the workload that runs the report, in a fresh
 process with one BLAS thread as the bench runs it, fails here when a change
-to the program breaks either.  One untraced solve of the large-mode
-workload, whose roundings take the Gram sweep of tt_round_sum, is judged
-by the bench's own eta_Ab check from outside the solver.  The bench files
-are only read.
+to the program breaks either.  One untraced solve each of the large-mode
+workload, whose roundings take the Gram sweep of tt_round_sum, and of the
+restarted workload is judged by the bench's own eta_Ab check from outside
+the solver.  The bench files are only read.
 """
 
 import json
@@ -43,3 +43,10 @@ def test_bench_solves_the_bound_workload(tmp_path):
 def test_bench_solves_the_large_mode_workload(tmp_path):
     record = bench_solve("convdiff-prec-n127", tmp_path, trace=False)
     assert record["check"]["passed"], record["check"]["reasons"]
+
+
+def test_bench_solves_the_restarted_workload(tmp_path):
+    # 68 iterations at config seed 1, which restart twice at m = 25
+    record = bench_solve("poisson-n31", tmp_path, trace=False)
+    assert record["check"]["passed"], record["check"]["reasons"]
+    assert record["cycles"] == 3

@@ -124,15 +124,25 @@ def test_deleted_schedule_keys_exit_2(setting, tmp_path, capsys):
     ("convdiff_n63", "q=-3", "q: must be >= 0"),
     ("poisson_n63", "seed=-1", "seed: must be >= 0"),
     ("eigen_rhs_n31_j10", "j=40", "j: must lie in 1..n-1 for eigen-rhs"),
+    ("poisson_n63", "output=", "output: must be a file name, got ''"),
+    ("poisson_n63", "output=.", "output: must be a file name, got '.'"),
+    ("poisson_n63", "output=..", "output: must be a file name, got '..'"),
+    ("poisson_n63", "output=sub/x",
+     "output: must be a file name, got 'sub/x'"),
 ])
 def test_invalid_config_values_exit_2(preset, setting, message, tmp_path,
                                       capsys):
+    # an output name that is not a file name would write next to the
+    # output directory, or into a directory that does not exist
+    beside = set(tmp_path.parent.iterdir())
     code = main(["run", preset, "--set", "n=7", "--set", setting,
                  "--output", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1] == f"error: {message}"
+    assert set(tmp_path.parent.iterdir()) == beside
+    assert list(tmp_path.iterdir()) == []
 
 
 PRESETS = sorted(p.stem for p in presets_dir().glob("*.cfg"))

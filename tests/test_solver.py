@@ -771,6 +771,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="plateau_window must be >= 0"):
             GmresConfig(plateau_window=-1)
 
+    def test_bad_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            GmresConfig(seed=-1)
+
 
 def _judged_rows(out):
     """{trace iteration: (eta_b, eta_AMb or eta_Ab)} of the judged rows."""
